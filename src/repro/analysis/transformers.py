@@ -9,7 +9,7 @@ runtime that surfaces as an abort in the transform phase, after the
 safe point was already paid for.
 
 This pass reconstructs the engine's transform-time class table exactly
-(:meth:`repro.dsu.engine.UpdateEngine._install_classes` builds the same
+(:func:`repro.dsu.install.install_classes` builds the same
 stubs) and abstract-interprets every transformer method against it with
 the real bytecode verifier, honoring the compiler's access-override flag
 the way the classloader does. It subsumes the old PUTFIELD field-coverage
@@ -54,7 +54,7 @@ def build_transform_table(
     old_classfiles: Dict[str, ClassFile], prepared: PreparedUpdate
 ) -> Dict[str, ClassFile]:
     """The class table transformers execute against, reconstructed the way
-    :meth:`UpdateEngine._install_classes` builds it: prelude + the whole
+    :func:`repro.dsu.install.install_classes` builds it: prelude + the whole
     new program + field-only stubs of every replaced/deleted class +
     the transformer classes themselves."""
     spec = prepared.spec

@@ -42,9 +42,7 @@ tree on ``vm.tracer`` and counters/histograms on ``vm.metrics``; export
 them with :func:`write_chrome_trace` / :meth:`~repro.obs.Metrics.snapshot`.
 
 :class:`UpdateRequest`/:meth:`~UpdateEngine.submit` is the only entry
-point. The pre-PR-9 per-request mode kwargs (``lint=``, ``bypass=``,
-``inloop_osr=``, ``hold_transaction=``, bare ``policy=RetryPolicy(...)``)
-still work for one release behind :class:`DeprecationWarning` shims.
+point, and :class:`UpdatePolicy` the only place its modes are spelled.
 """
 
 from __future__ import annotations

@@ -1,23 +1,16 @@
 """The update policy: one typed knob object instead of kwarg sprawl.
 
-Through PR 8 every new engine capability grew a new mode flag somewhere
-slightly different: ``lint=``/``bypass=``/``inloop_osr=``/
-``hold_transaction=`` on :class:`~repro.dsu.engine.UpdateRequest`,
-``heap_grow=`` on the engine constructor, and the retry budget hiding
-inside ``policy=RetryPolicy(...)``. Callers had to know which layer owned
-which flag, and presets ("what the paper did" vs "everything on") lived
-in people's heads.
-
-:class:`UpdatePolicy` collapses all of it into one frozen dataclass:
+Everything that shapes *how* an update is applied — the retry budget,
+the lint/bypass/in-loop-OSR/transform modes, held verification windows,
+heap growth — is one frozen dataclass with presets:
 
 ``policy = UpdatePolicy.fast()            # bypass + in-loop OSR + lazy``
 ``policy = UpdatePolicy.paper()           # strict paper fidelity``
 ``policy = UpdatePolicy.safe()            # strict lint, eager transform``
 ``policy = replace(UpdatePolicy.fast(), retry=RetryPolicy(retries=3))``
 
-The old per-request kwargs survive for one release as
-``DeprecationWarning`` shims on ``UpdateRequest`` (see
-:mod:`repro.dsu.engine`).
+:class:`~repro.dsu.engine.UpdateRequest` takes ``prepared``, ``policy``
+and ``tracer`` and nothing else.
 """
 
 from __future__ import annotations
@@ -76,21 +69,13 @@ class UpdatePolicy:
     heap_grow: bool = False
 
     def __post_init__(self) -> None:
-        if self.lint not in LINT_MODES:
-            raise ValueError(
-                f"lint must be one of {'|'.join(LINT_MODES)}, got {self.lint!r}")
-        if self.bypass not in BYPASS_MODES:
-            raise ValueError(
-                f"bypass must be one of {'|'.join(BYPASS_MODES)}, "
-                f"got {self.bypass!r}")
-        if self.inloop_osr not in INLOOP_OSR_MODES:
-            raise ValueError(
-                f"inloop_osr must be one of {'|'.join(INLOOP_OSR_MODES)}, "
-                f"got {self.inloop_osr!r}")
-        if self.transform not in TRANSFORM_MODES:
-            raise ValueError(
-                f"transform must be one of {'|'.join(TRANSFORM_MODES)}, "
-                f"got {self.transform!r}")
+        for name, modes in (("lint", LINT_MODES), ("bypass", BYPASS_MODES),
+                            ("inloop_osr", INLOOP_OSR_MODES),
+                            ("transform", TRANSFORM_MODES)):
+            if getattr(self, name) not in modes:
+                raise ValueError(
+                    f"{name} must be one of {'|'.join(modes)}, "
+                    f"got {getattr(self, name)!r}")
 
     # -- presets -------------------------------------------------------
 

@@ -39,8 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..vm.heap import HEADER_STATUS, HEADER_TIB
-from ..vm.objectmodel import ARRAY_ELEMS_OFFSET, ARRAY_LENGTH_OFFSET
+from ..vm.heap import HEADER_STATUS
 from ..vm.rvmclass import RVMClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -272,7 +271,7 @@ class UpdateTransaction:
         never written by the collection, so class ids and array lengths
         still parse; only the status words hold forwarding-pointer scribble.
 
-        A drained-or-draining *lazy* epoch (repro.dsu.engine) also stores
+        A drained-or-draining *lazy* epoch (repro.dsu.lazy) also stores
         forwarding in status headers — but those point into the **current**
         space (object transformed in place, new copy beside the old one),
         whereas the collection's pointers lead into the other semispace.
@@ -283,21 +282,9 @@ class UpdateTransaction:
         heap = vm.heap
         address = heap.space_start
         end = self.heap_bump
-        registry = vm.registry
         current = heap.current_space
         while address < end:
-            rvmclass = registry.by_class_id(heap.cells[address + HEADER_TIB])
             status = heap.cells[address + HEADER_STATUS]
             if status != 0 and not heap.in_space(status, current):
                 heap.cells[address + HEADER_STATUS] = 0
-            address += _object_cells(heap, rvmclass, address)
-
-
-def _object_cells(heap, rvmclass: RVMClass, address: int) -> int:
-    from ..vm.heap import HEADER_CELLS
-
-    if rvmclass.kind == RVMClass.KIND_ARRAY:
-        return ARRAY_ELEMS_OFFSET + heap.cells[address + ARRAY_LENGTH_OFFSET]
-    if rvmclass.kind == RVMClass.KIND_STRING:
-        return HEADER_CELLS + 1
-    return rvmclass.instance_cells
+            address += vm.objects.object_size_cells(address)

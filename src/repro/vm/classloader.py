@@ -63,11 +63,10 @@ class ClassLoader:
             override = has_access_override(classfile)
             Verifier(table, access_override=override).verify_class(classfile)
 
-        ordered = self._superclass_first(classfiles)
-        created: List[RVMClass] = []
-        for classfile in ordered:
-            created.append(self._install(classfile))
-            vm.clock.tick(vm.clock.costs.classload_per_class)
+        created: List[RVMClass] = [
+            self.install(classfile)
+            for classfile in self.superclass_first(classfiles)
+        ]
         vm.classfiles.update(classfiles)
         if run_clinit:
             for rvmclass in created:
@@ -76,7 +75,7 @@ class ClassLoader:
 
     # ------------------------------------------------------------------
 
-    def _superclass_first(self, classfiles: Dict[str, ClassFile]) -> List[ClassFile]:
+    def superclass_first(self, classfiles: Dict[str, ClassFile]) -> List[ClassFile]:
         ordered: List[ClassFile] = []
         visited = set()
 
@@ -100,7 +99,11 @@ class ClassLoader:
             visit(name)
         return ordered
 
-    def _install(self, classfile: ClassFile) -> RVMClass:
+    def install(self, classfile: ClassFile, adopt=None) -> RVMClass:
+        """Build the :class:`RVMClass` for one verified class file. The
+        update engine passes ``adopt(rvmclass, method) -> MethodEntry | None``
+        to carry a replaced class's persistent method entries over instead
+        of registering fresh ones."""
         vm = self.vm
         superclass: Optional[RVMClass] = None
         if classfile.superclass is not None:
@@ -118,7 +121,9 @@ class ClassLoader:
         # Method entries + TIB.
         own_virtuals = {}
         for key, method in classfile.methods.items():
-            entry = vm.methods.register(rvmclass, method)
+            entry = adopt(rvmclass, method) if adopt is not None else None
+            if entry is None:
+                entry = vm.methods.register(rvmclass, method)
             vm.clock.tick(vm.clock.costs.classload_per_method)
             if (
                 not method.is_static
@@ -126,6 +131,7 @@ class ClassLoader:
             ):
                 own_virtuals[key] = entry
         rvmclass.tib.build(own_virtuals)
+        vm.clock.tick(vm.clock.costs.classload_per_class)
         return rvmclass
 
     def _run_clinit(self, rvmclass: RVMClass) -> None:

@@ -10,7 +10,7 @@ everything the GC needs to trace instances:
 
 Dynamic updates rename the old version's metadata (``v131_User``-style) and
 install a fresh ``RVMClass`` for the new version — see
-:meth:`repro.dsu.engine.UpdateEngine._install_classes`.
+:func:`repro.dsu.install.install_classes`.
 """
 
 from __future__ import annotations

@@ -109,8 +109,19 @@ def find_instant(vm, name):
 
 def disable_sweep(fixture):
     """Keep the barrier but never let the background sweep run, so tests
-    control draining explicitly via drain_lazy_epoch(max_objects=...)."""
-    fixture.engine._lazy_sweep_slice = lambda target_ms: None
+    control draining explicitly via drain_lazy_epoch(max_objects=...).
+
+    The epoch installs its sweep as ``vm.idle_work_hook`` when the apply
+    commits, which happens inside the engine's world-stopped callback:
+    chain that callback and take the idle hook back down after it."""
+    vm = fixture.vm
+    engine_world_stopped = vm.on_world_stopped
+
+    def world_stopped_without_idle_sweep():
+        engine_world_stopped()
+        vm.idle_work_hook = None
+
+    vm.on_world_stopped = world_stopped_without_idle_sweep
 
 
 class TestLazyBarrier:

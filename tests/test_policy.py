@@ -1,7 +1,6 @@
 """The UpdatePolicy API: presets, validation, engine wiring, and the
-one-release DeprecationWarning shims covering the pre-PR-9 kwarg sprawl
-(``lint=``/``bypass=``/``inloop_osr=``/``hold_transaction=`` on
-UpdateRequest, ``heap_grow=`` on the engine, bare ``policy=RetryPolicy``).
+three-field UpdateRequest that carries it (the pre-PR-9 mode kwargs and
+``UpdateEngine(heap_grow=)`` are gone, not deprecated).
 """
 
 import dataclasses
@@ -74,54 +73,30 @@ class TestPolicyObject:
             UpdatePolicy.fast(**kwargs)
 
 
-class TestDeprecatedShims:
-    def prepared(self):
-        fixture = UpdateFixture(UPDATE_V1)
-        return fixture.prepare(UPDATE_V2)
+class TestRequestShape:
+    def test_plain_request_carries_the_default_policy(self):
+        prepared = UpdateFixture(UPDATE_V1).prepare(UPDATE_V2)
+        assert UpdateRequest(prepared).policy == UpdatePolicy()
 
-    def test_bare_retry_policy_is_wrapped_with_a_warning(self):
-        retry = RetryPolicy(timeout_ms=123.0)
-        with pytest.warns(DeprecationWarning, match="policy=RetryPolicy"):
-            request = UpdateRequest(self.prepared(), policy=retry)
-        assert isinstance(request.policy, UpdatePolicy)
-        assert request.policy.retry is retry
+    def test_request_has_exactly_three_fields(self):
+        names = [f.name for f in dataclasses.fields(UpdateRequest)]
+        assert names == ["prepared", "policy", "tracer"]
 
-    @pytest.mark.parametrize("name,value", [
-        ("lint", "warn"),
-        ("bypass", "auto"),
-        ("inloop_osr", "auto"),
-        ("hold_transaction", True),
+    @pytest.mark.parametrize("kwargs", [
+        dict(lint="warn"),
+        dict(bypass="auto"),
+        dict(inloop_osr="auto"),
+        dict(hold_transaction=True),
     ])
-    def test_mode_kwargs_warn_and_fold_into_the_policy(self, name, value):
-        with pytest.warns(DeprecationWarning, match=f"UpdateRequest\\({name}"):
-            request = UpdateRequest(self.prepared(), **{name: value})
-        assert getattr(request.policy, name) == value
-        # The attribute mirrors the effective policy afterwards.
-        assert getattr(request, name) == value
+    def test_the_old_mode_kwargs_are_gone(self, kwargs):
+        prepared = UpdateFixture(UPDATE_V1).prepare(UPDATE_V2)
+        with pytest.raises(TypeError):
+            UpdateRequest(prepared, **kwargs)
 
-    def test_kwarg_overrides_an_explicit_policy(self):
-        with pytest.warns(DeprecationWarning):
-            request = UpdateRequest(
-                self.prepared(),
-                policy=UpdatePolicy(lint="warn", bypass="auto"),
-                lint="strict",
-            )
-        assert request.policy.lint == "strict"
-        assert request.policy.bypass == "auto"
-
-    def test_plain_request_carries_the_default_policy_without_warning(self):
-        # (DeprecationWarning is an error under the test filter, so just
-        # constructing is the assertion.)
-        request = UpdateRequest(self.prepared())
-        assert request.policy == UpdatePolicy()
-        assert request.lint == "off"
-        assert request.hold_transaction is False
-
-    def test_engine_heap_grow_kwarg_warns(self):
+    def test_engine_takes_no_heap_grow(self):
         fixture = UpdateFixture(UPDATE_V1)
-        with pytest.warns(DeprecationWarning, match="UpdateEngine\\(heap_grow"):
-            engine = UpdateEngine(fixture.vm, heap_grow=True)
-        assert engine.heap_grow is True
+        with pytest.raises(TypeError):
+            UpdateEngine(fixture.vm, heap_grow=True)
 
 
 class TestPolicyDrivesTheEngine:
