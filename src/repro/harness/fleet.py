@@ -408,6 +408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = fleet_report(rows, scenarios, args.members, args.seed)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     print(f"wrote {args.out}", file=sys.stderr)
     if args.check and report["problems"]:
         for key, problems in sorted(report["problems"].items()):

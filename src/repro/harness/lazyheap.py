@@ -509,6 +509,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = lazyheap_report(baseline, points, differential)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     print(f"wrote {args.out}", file=sys.stderr)
 
     if args.check and report["problems"]:

@@ -271,6 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = pause_report(rows)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     print(f"wrote {args.out}", file=sys.stderr)
 
     if args.trace_out:
