@@ -76,21 +76,17 @@ def test_crossftp_108_requires_idle(benchmark):
     the update times out; when idle it applies. The in-loop rescue does not
     change this — RequestHandler.run blocks in *session* natives, which
     drain on their own, so it is not an osrmap target."""
-    from repro.apps.crossftp.versions import MAIN_CLASS, TRANSFORMER_OVERRIDES, VERSIONS
-    from repro.harness.updates import AppDriver
+    from repro.harness.updates import AppDriver, harness_policy
     from repro.net.ftpclient import long_session_script
     from repro.net.loadgen import ScriptedSession
 
     def run_busy():
-        driver = AppDriver(
-            "crossftp", VERSIONS, MAIN_CLASS,
-            transformer_overrides=TRANSFORMER_OVERRIDES,
-        ).boot("1.07")
+        driver = AppDriver.for_app("crossftp").boot("1.07")
         session = ScriptedSession(
             driver.vm, 2121, long_session_script(noops=400), poll_ms=5.0,
             timeout_ms=30_000,
         ).start(20)
-        holder = driver.request_update_at(100, "1.08", timeout_ms=700)
+        holder = driver.request_update_at(100, "1.08", harness_policy(700))
         driver.run(until_ms=4_000)
         return holder["result"]
 

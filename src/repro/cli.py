@@ -19,7 +19,14 @@ from .compiler.compile import compile_source
 from .bytecode.disassembler import disassemble_class
 from .dsu.engine import UpdateEngine, UpdateRequest
 from .dsu.upt import diff_programs, prepare_update
+from .harness import endurance, fleet, lazyheap
 from .vm.vm import VM
+
+#: harness subcommands: each module declares its own flags
+#: (``add_arguments``) and runs from the parsed namespace (``run``)
+HARNESS_COMMANDS = (
+    ("fleet", fleet), ("endurance", endurance), ("lazyheap", lazyheap),
+)
 
 
 def _read(path: str) -> str:
@@ -122,17 +129,15 @@ def cmd_update(args) -> int:
     for warning in validate_update(old, prepared,
                                    inloop_osr=not args.paper_fidelity):
         print(f"[warn] {warning}", file=sys.stderr)
-    timeout_ms = (
-        args.dsu_timeout_ms if args.dsu_timeout_ms is not None
-        else args.timeout_ms
-    )
     from .dsu.policy import UpdatePolicy
     from .dsu.safepoint import RetryPolicy
 
     try:
         # Validate the policy flags now, not when the scheduled request fires.
         policy = UpdatePolicy(
-            retry=RetryPolicy(timeout_ms, args.dsu_retries, args.dsu_backoff),
+            retry=RetryPolicy(
+                args.timeout_ms, args.dsu_retries, args.dsu_backoff
+            ),
             lint=args.dsu_lint,
             bypass=args.bypass,
             inloop_osr="off" if args.paper_fidelity else args.inloop_osr,
@@ -180,7 +185,7 @@ def cmd_update(args) -> int:
 def cmd_trace(args) -> int:
     """Run one bundled update under light load and export its span tree."""
     from .apps.registry import APPS, update_pairs
-    from .harness.pauses import measure_pause_with_vm, render_pause_table
+    from .harness.pauses import measure_pause, render_pause_table
     from .obs.export import render_span_tree
 
     if args.app not in APPS:
@@ -194,7 +199,7 @@ def cmd_trace(args) -> int:
               f"(choose from {pairs})", file=sys.stderr)
         return 2
     out = args.trace_out or f"{args.app}-{from_version}-{to_version}.trace.json"
-    row, vm = measure_pause_with_vm(
+    row, vm = measure_pause(
         args.app, from_version, to_version,
         request_at_ms=args.at, timeout_ms=args.timeout_ms,
         until_ms=args.until_ms, trace_out=out,
@@ -210,77 +215,17 @@ def cmd_trace(args) -> int:
     return 1 if row.soundness_problems() else 0
 
 
-def cmd_fleet(args) -> int:
-    """Fleet-scale rolling updates: the 22-update campaign under
-    continuous traffic plus the fault-injection battery."""
-    from .harness.fleet import main as fleet_main
-
-    forwarded: List[str] = [
-        "--members", str(args.members),
-        "--seed", str(args.seed),
-        "--out", args.out,
-    ]
-    if args.updates is not None:
-        forwarded += ["--updates", str(args.updates)]
-    if args.no_scenarios:
-        forwarded.append("--no-scenarios")
-    if args.check:
-        forwarded.append("--check")
-    return fleet_main(forwarded)
-
-
-def cmd_endurance(args) -> int:
-    """One long-lived server per app survives its full update stream
-    under continuous traffic; bypass-eligible updates must be invisible."""
-    from .harness.endurance import main as endurance_main
-
-    forwarded: List[str] = [
-        "--out", args.out,
-        "--timeout-ms", str(args.timeout_ms),
-    ]
-    if args.app is not None:
-        forwarded += ["--app", args.app]
-    if args.paper_fidelity:
-        forwarded.append("--paper-fidelity")
-    if args.check:
-        forwarded.append("--check")
-    return endurance_main(forwarded)
-
-
-def cmd_lazyheap(args) -> int:
-    """Lazy vs eager pause scaling plus the end-state differential."""
-    from .harness.lazyheap import main as lazyheap_main
-
-    forwarded: List[str] = ["--out", args.out]
-    if args.sizes is not None:
-        forwarded += ["--sizes", args.sizes]
-    if args.quick:
-        forwarded.append("--quick")
-    if args.no_differential:
-        forwarded.append("--no-differential")
-    if args.check:
-        forwarded.append("--check")
-    return lazyheap_main(forwarded)
-
-
 def _lint_superset_gate(boot_info, prepared, report):
     """Runtime check of the analyzer's central soundness claim: boot the
     old version, adversarially opt-compile *everything* (so every
     possible inline host materializes), and verify the methods the VM
     would actually treat as restricted are a subset of the static
     prediction. Returns the over-restriction set (empty = gate passes)."""
-    from .apps.registry import APPS
     from .dsu.safepoint import observed_restriction_keys, resolve_restricted
     from .harness.updates import AppDriver
 
     app, from_version, _ = boot_info
-    info = APPS[app]
-    driver = AppDriver(
-        app, info.versions, info.main_class,
-        transformer_overrides=info.transformer_overrides,
-    )
-    driver.boot(from_version)
-    vm = driver.vm
+    vm = AppDriver.for_app(app).boot(from_version).vm
     for entry in list(vm.methods.all_entries()):
         if entry.info.is_native:
             continue
@@ -320,11 +265,7 @@ def cmd_dsu_lint(args) -> int:
                 print(f"unknown app {app!r} (have: {', '.join(sorted(APPS))})",
                       file=sys.stderr)
                 return 2
-            info = APPS[app]
-            driver = AppDriver(
-                app, info.versions, info.main_class,
-                transformer_overrides=info.transformer_overrides,
-            )
+            driver = AppDriver.for_app(app)
             pairs = update_pairs(app)
             if args.from_version or args.to_version:
                 if not (args.from_version and args.to_version):
@@ -571,10 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--main", default="Main")
     update.add_argument("--at", type=float, default=100.0,
                         help="simulated ms at which to request the update")
-    update.add_argument("--timeout-ms", type=float, default=15_000.0)
-    update.add_argument("--dsu-timeout-ms", type=float, default=None,
+    update.add_argument("--timeout-ms", type=float, default=15_000.0,
                         help="per-round DSU safe-point window in simulated ms "
-                             "(default: --timeout-ms, i.e. the paper's 15 s)")
+                             "(default: the paper's 15 s)")
     update.add_argument("--dsu-retries", type=int, default=0,
                         help="extra safe-point acquisition rounds after the "
                              "first window expires")
@@ -715,82 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "after semantic-diff minimization as JSON")
     lint.set_defaults(fn=cmd_dsu_lint)
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="rolling updates across an N-member fleet: canary-first "
-             "orchestration under continuous traffic, health-gated "
-             "automatic rollback, and a fleet-level fault-injection "
-             "battery (writes BENCH_fleet.json)",
-    )
-    fleet.add_argument("--members", type=int, default=4,
-                       help="fleet size for the campaign (>= 2)")
-    fleet.add_argument("--seed", type=int, default=11,
-                       help="traffic RNG seed (campaigns are bit-for-bit "
-                            "reproducible for a given seed)")
-    fleet.add_argument("--updates", type=int, default=None, metavar="N",
-                       help="run only the first N update pairs "
-                            "(default: all 22)")
-    fleet.add_argument("--no-scenarios", action="store_true",
-                       help="skip the fault-injection scenarios")
-    fleet.add_argument("--out", default="BENCH_fleet.json",
-                       help="where to write the JSON artifact")
-    fleet.add_argument("--check", action="store_true",
-                       help="exit non-zero on availability below 99%%, an "
-                            "unexpected rollout outcome, or a mishandled "
-                            "fault scenario")
-    fleet.set_defaults(fn=cmd_fleet)
-
-    endurance = sub.add_parser(
-        "endurance",
-        help="apply each app's full update stream to one long-lived "
-             "server under continuous traffic; bypass-eligible updates "
-             "must show a 0.00 ms pause and zero safe-point rounds "
-             "(writes BENCH_endurance.json)",
-    )
-    endurance.add_argument("--app", default=None,
-                           help="run one app only (jetty, javaemail, "
-                                "crossftp; default: all)")
-    endurance.add_argument("--out", default="BENCH_endurance.json",
-                           help="where to write the JSON artifact")
-    endurance.add_argument("--timeout-ms", type=float, default=1_000.0,
-                           help="per-round safe-point window for "
-                                "non-bypass updates (simulated ms)")
-    endurance.add_argument("--paper-fidelity", action="store_true",
-                           help="disable the in-loop OSR rescue: the two "
-                                "§4 aborts abort and the server restarts "
-                                "onto the target release")
-    endurance.add_argument("--check", action="store_true",
-                           help="exit non-zero on a nonzero bypass pause, "
-                                "any bypass safe-point round, a bypass or "
-                                "OSR-rescued set differing from the "
-                                "registry, or a traffic protocol mismatch")
-    endurance.set_defaults(fn=cmd_endurance)
-
-    lazyheap = sub.add_parser(
-        "lazyheap",
-        help="lazy vs eager transformation: update-pause scaling on a "
-             "growing heap (the lazy pause must stay flat while the "
-             "eager pause grows with the object count) plus an "
-             "eager-vs-lazy end-state differential over all bundled "
-             "updates (writes BENCH_lazy.json)",
-    )
-    lazyheap.add_argument("--out", default="BENCH_lazy.json",
-                          help="where to write the JSON artifact")
-    lazyheap.add_argument("--sizes", default=None, metavar="N,N,...",
-                          help="comma-separated object counts for the "
-                               "pause curve (default: 10000,100000,1000000)")
-    lazyheap.add_argument("--quick", action="store_true",
-                          help="scaled-down curve sizes for smoke runs")
-    lazyheap.add_argument("--no-differential", action="store_true",
-                          help="skip the 22-update eager-vs-lazy "
-                               "end-state comparison")
-    lazyheap.add_argument("--check", action="store_true",
-                          help="exit non-zero unless every lazy pause "
-                               "stays within 2x of the empty-heap pause, "
-                               "the eager pause grows >= 50x across the "
-                               "sweep, and every bundled update reaches "
-                               "the same end state in both modes")
-    lazyheap.set_defaults(fn=cmd_lazyheap)
+    for name, module in HARNESS_COMMANDS:
+        harness = sub.add_parser(name, help=module.__doc__.split("\n\n")[0])
+        module.add_arguments(harness)
+        harness.set_defaults(fn=module.run)
     return parser
 
 

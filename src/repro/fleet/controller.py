@@ -42,6 +42,7 @@ from typing import Dict, List, Optional
 
 from ..dsu.engine import PENDING, UpdateResult
 from ..dsu.faults import FleetFaultInjector
+from ..dsu.policy import UpdatePolicy
 from ..dsu.safepoint import RetryPolicy
 from ..obs.metrics import Metrics
 from .balancer import LoadBalancer
@@ -88,11 +89,19 @@ class RolloutPolicy:
     failure_budget: int = 1
     restart_warmup_ms: float = 60.0
 
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            timeout_ms=self.update_timeout_ms,
-            retries=self.update_retries,
-            backoff=self.update_backoff,
+    def update_policy(self, canary: bool = False) -> UpdatePolicy:
+        """The fleet's update policy: ``UpdatePolicy()`` — the paper's
+        eager update *without* the harnesses' in-loop OSR rescue
+        (``repro.harness.updates.harness_policy``), so the two §4 aborts
+        halt their rollouts — under the orchestrator's retry budget; the
+        canary holds its transaction open across the verify window."""
+        return UpdatePolicy(
+            retry=RetryPolicy(
+                timeout_ms=self.update_timeout_ms,
+                retries=self.update_retries,
+                backoff=self.update_backoff,
+            ),
+            hold_transaction=canary,
         )
 
 
@@ -183,7 +192,6 @@ class FleetController:
         size: int = 4,
         seed: int = 11,
         slice_ms: float = 10.0,
-        heap_cells: int = 1 << 17,
         health: Optional[HealthPolicy] = None,
         rollout: Optional[RolloutPolicy] = None,
         faults: Optional[FleetFaultInjector] = None,
@@ -195,7 +203,7 @@ class FleetController:
         self.slice_ms = slice_ms
         self.metrics = Metrics()
         self.members: Dict[str, FleetMember] = {
-            f"m{i}": FleetMember(f"m{i}", app, version, heap_cells=heap_cells)
+            f"m{i}": FleetMember(f"m{i}", app, version)
             for i in range(size)
         }
         self.balancer = LoadBalancer(self.members, self.metrics)
@@ -427,7 +435,7 @@ class FleetController:
         """Run the submit/retry loop; returns (outcome, last_result) with
         outcome in {"applied", "crashed", "exhausted"}."""
         policy = self.rollout_policy
-        retry_policy = policy.retry_policy()
+        update_policy = policy.update_policy(canary=is_canary)
         result: Optional[UpdateResult] = None
         for attempt in range(policy.max_update_attempts):
             plan = (
@@ -435,11 +443,12 @@ class FleetController:
                 if self.faults is not None else None
             )
             result = member.submit_update(
-                to_version, retry_policy,
-                hold_transaction=is_canary, fault_plan=plan,
+                to_version, update_policy, fault_plan=plan
             )
             row.attempts = attempt + 1
-            hard_stop = self.now + retry_policy.total_budget_ms() + 1_000.0
+            hard_stop = (
+                self.now + update_policy.retry.total_budget_ms() + 1_000.0
+            )
             while (
                 result.status == PENDING
                 and self.now < hard_stop

@@ -1,37 +1,29 @@
 """One fleet member: a full simulated VM running one application shard.
 
-A :class:`FleetMember` is the fleet-scale analogue of
-:class:`repro.harness.updates.AppDriver`: it owns a private VM (heap,
+A :class:`FleetMember` wraps one
+:class:`repro.harness.updates.AppDriver` generation — a private VM (heap,
 scheduler, network, metrics) booted on one application version, plus the
-:class:`~repro.dsu.engine.UpdateEngine` that updates it in place. The
-:class:`~repro.fleet.controller.FleetController` drives all members in
-lockstep slices of the simulated clock and the
+:class:`~repro.dsu.engine.UpdateEngine` that updates it in place — and
+adds the fleet lifecycle: state, crash recovery onto a fresh driver, and
+session bookkeeping. The :class:`~repro.fleet.controller.FleetController`
+drives all members in lockstep slices of the simulated clock and the
 :class:`~repro.fleet.balancer.LoadBalancer` spawns client sessions on the
 member's private network.
 
-Compiled application classfiles are memoized per ``(app, version)`` and
-shared across members — class *metadata* is immutable; each VM builds its
-own runtime classes, heap and JIT state from it — so booting an N-member
-fleet compiles each version once, not N times.
+The driver's compile memo is process-wide, so booting an N-member fleet
+compiles each version once, not N times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional
 
-from ..apps.registry import APPS, AppInfo
-from ..compiler.compile import compile_source
+from ..apps.sessions import open_session
 from ..dsu.engine import UpdateEngine, UpdateRequest, UpdateResult
 from ..dsu.faults import FaultInjector, FaultPlan, VMCrash
 from ..dsu.policy import UpdatePolicy
-from ..dsu.safepoint import RetryPolicy
-from ..dsu.upt import PreparedUpdate, prepare_update
-from ..net.ftpclient import browse_script
-from ..net.httpclient import HttpConnectionClient
-from ..net.loadgen import ScriptedSession
-from ..net.popclient import stat_script
-from ..net.smtpclient import send_mail_script
+from ..harness.updates import AppDriver
 from ..vm.vm import VM
 
 #: member lifecycle states (the rollout state machine's vocabulary)
@@ -44,21 +36,9 @@ STATE_CRASHED = "crashed"
 #: failure kind recorded for sessions lost to a member crash
 FAILURE_MEMBER_CRASH = "member-crash"
 
-_classfile_cache: Dict[Tuple[str, str], dict] = {}
-
-
-def app_classfiles(app: str, version: str):
-    """Compile (once, process-wide) the classfiles for one app version."""
-    key = (app, version)
-    cached = _classfile_cache.get(key)
-    if cached is None:
-        info = APPS[app]
-        cached = compile_source(
-            info.versions[version], f"<{app} {version}>", version=version
-        )
-        _classfile_cache[key] = cached
-    return cached
-
+#: client-side timeout of fleet sessions (the harnesses keep the client
+#: classes' longer defaults)
+SESSION_TIMEOUT_MS = 3_000.0
 
 @dataclass
 class SessionRecord:
@@ -97,37 +77,14 @@ class SessionRecord:
             return None
         return self.session.duration_ms
 
-    @property
-    def started_at(self) -> Optional[float]:
-        return self.session.started_at
-
-    @property
-    def finished_at(self) -> Optional[float]:
-        if self.lost:
-            return None
-        return getattr(self.session, "finished_at", None)
-
 
 class FleetMember:
     """One VM instance in the fleet, addressable by name (``m0``...)."""
 
-    def __init__(
-        self,
-        name: str,
-        app: str,
-        version: str,
-        heap_cells: int = 1 << 17,
-        quantum: int = 400,
-        session_timeout_ms: float = 3_000.0,
-    ):
+    def __init__(self, name: str, app: str, version: str):
         self.name = name
         self.app = app
-        self.info: AppInfo = APPS[app]
-        self.heap_cells = heap_cells
-        self.quantum = quantum
-        self.session_timeout_ms = session_timeout_ms
         self.state = STATE_SERVING
-        self.current_version: Optional[str] = None
         self.crash: Optional[VMCrash] = None
         #: fleet time before which the balancer must not route here
         #: (post-boot / post-restart warmup)
@@ -136,28 +93,32 @@ class FleetMember:
         #: VM generation and any pre-crash generations)
         self.sessions: List[SessionRecord] = []
         self.restarts = 0
-        self._session_counter = 0
-        self.vm: VM = None  # type: ignore[assignment]
-        self.engine: UpdateEngine = None  # type: ignore[assignment]
         self._boot(version)
 
     # ------------------------------------------------------------------
     # lifecycle
 
     def _boot(self, version: str) -> None:
-        self.vm = VM(heap_cells=self.heap_cells, quantum=self.quantum)
-        self.engine = UpdateEngine(self.vm)
-        self.vm.boot(app_classfiles(self.app, version))
-        self.vm.start_main(self.info.main_class)
-        self.current_version = version
+        self.driver = AppDriver.for_app(self.app).boot(version)
+        self.vm: VM = self.driver.vm
+        self.engine: UpdateEngine = self.driver.engine
         self.state = STATE_SERVING
         self.crash = None
+
+    @property
+    def current_version(self) -> Optional[str]:
+        return self.driver.current_version
+
+    @current_version.setter
+    def current_version(self, version: str) -> None:
+        self.driver.current_version = version
 
     def restart(self, version: str, at_ms: float, warmup_ms: float = 60.0) -> None:
         """Crash recovery: replace the dead VM with a fresh one booted on
         ``version`` (normally the old version — an operational rollback).
         Sessions still open on the dead VM are marked lost."""
-        self.mark_sessions_lost()
+        for record in self.in_flight():
+            record.lost = True
         self.restarts += 1
         self._boot(version)
         # Align the fresh VM's clock with fleet time; the boot work it
@@ -165,15 +126,6 @@ class FleetMember:
         # upcoming slices, which is what the warmup window covers.
         self.vm.clock.advance_to_ms(at_ms)
         self.not_before_ms = at_ms + warmup_ms
-
-    def mark_sessions_lost(self) -> int:
-        """Mark every unfinished session as lost (its VM died)."""
-        lost = 0
-        for record in self.sessions:
-            if not record.done:
-                record.lost = True
-                lost += 1
-        return lost
 
     def run_slice(self, until_ms: float) -> None:
         """Advance this member's VM to ``until_ms`` fleet time. A
@@ -199,40 +151,11 @@ class FleetMember:
     def spawn_session(self, at_ms: float) -> SessionRecord:
         """Create one app-appropriate client session on this member's
         private network, starting at ``at_ms``."""
-        index = self._session_counter
-        self._session_counter += 1
-        if self.app == "jetty":
-            session = HttpConnectionClient(
-                self.vm, self.info.port, "/file.bin", num_requests=3,
-                timeout_ms=self.session_timeout_ms,
-            ).start(at_ms)
-        elif self.app == "javaemail":
-            from ..apps.javaemail.versions import POP3_PORT, SMTP_PORT
-
-            if index % 2 == 0:
-                session = ScriptedSession(
-                    self.vm, SMTP_PORT,
-                    send_mail_script(
-                        "bob@example.org", "alice@example.org",
-                        [f"fleet ping {index}"],
-                    ),
-                    timeout_ms=self.session_timeout_ms,
-                    name=f"{self.name}-smtp-{index}",
-                ).start(at_ms)
-            else:
-                session = ScriptedSession(
-                    self.vm, POP3_PORT, stat_script("alice", "apass"),
-                    timeout_ms=self.session_timeout_ms,
-                    name=f"{self.name}-pop3-{index}",
-                ).start(at_ms)
-        elif self.app == "crossftp":
-            session = ScriptedSession(
-                self.vm, self.info.port, browse_script(),
-                timeout_ms=self.session_timeout_ms,
-                name=f"{self.name}-ftp-{index}",
-            ).start(at_ms)
-        else:  # pragma: no cover - registry is closed
-            raise ValueError(f"unknown app {self.app!r}")
+        index = len(self.sessions)
+        session = open_session(
+            self.vm, self.app, index, at_ms, text=f"fleet ping {index}",
+            timeout_ms=SESSION_TIMEOUT_MS, name=self.name,
+        )
         record = SessionRecord(session, self.name, at_ms)
         self.sessions.append(record)
         return record
@@ -240,40 +163,17 @@ class FleetMember:
     # ------------------------------------------------------------------
     # updates
 
-    def prepare(self, to_version: str, minimize: bool = True) -> PreparedUpdate:
-        assert self.current_version is not None
-        overrides = self.info.transformer_overrides.get(
-            (self.current_version, to_version), {}
-        )
-        return prepare_update(
-            app_classfiles(self.app, self.current_version),
-            app_classfiles(self.app, to_version),
-            self.current_version,
-            to_version,
-            transformer_overrides=overrides or None,
-            minimize=minimize,
-        )
-
     def submit_update(
         self,
         to_version: str,
-        policy: Union[UpdatePolicy, RetryPolicy],
-        hold_transaction: bool = False,
+        policy: UpdatePolicy,
         fault_plan: Optional[FaultPlan] = None,
     ) -> UpdateResult:
         """Submit one update attempt to this member's engine. The result
-        fills in as the controller's slice loop drives the VM. ``policy``
-        is an :class:`UpdatePolicy` (a bare :class:`RetryPolicy` is
-        wrapped for convenience); ``hold_transaction=True`` overlays the
-        canary hold on top of it."""
+        fills in as the controller's slice loop drives the VM."""
         self.engine.fault_injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
-        prepared = self.prepare(to_version)
-        if isinstance(policy, RetryPolicy):
-            policy = UpdatePolicy(retry=policy)
-        if hold_transaction:
-            policy = replace(policy, hold_transaction=True)
-        request = UpdateRequest(prepared, policy=policy)
+        request = UpdateRequest(self.driver.prepare(to_version), policy=policy)
         self.state = STATE_UPDATING
         return self.engine.submit(request)

@@ -41,7 +41,6 @@ and no transition may lose a client session to a protocol mismatch
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
@@ -52,13 +51,11 @@ from ..apps.registry import (
     expected_osr_rescued,
     update_pairs,
 )
-from ..net.httpclient import HttpConnectionClient
-from ..net.ftpclient import browse_script
-from ..net.loadgen import FAILURE_PROTOCOL, ScriptedSession
-from ..net.popclient import stat_script
-from ..net.smtpclient import send_mail_script
-from ..obs.metrics import Histogram
-from .updates import AppDriver
+from ..apps.sessions import open_session
+from ..net.loadgen import FAILURE_PROTOCOL
+from ..obs.metrics import nearest_rank
+from ..vm.vm import VM
+from .updates import AppDriver, finish_run, harness_policy
 
 #: traffic shape around each transition (simulated ms)
 _SESSION_INTERVAL_MS = 90.0
@@ -159,42 +156,17 @@ class TransitionRow:
         return problems
 
 
-def _spawn_transition_traffic(driver: AppDriver, app: str,
-                              start_ms: float) -> list:
+def transition_traffic(vm: VM, app: str, start_ms: float) -> list:
     """Continuous client sessions covering one transition window."""
-    info = APPS[app]
     sessions = []
     at = start_ms
-    index = 0
     while at < start_ms + _WINDOW_MS:
-        if app == "jetty":
-            sessions.append(HttpConnectionClient(
-                driver.vm, info.port, "/file.bin", num_requests=3,
-            ).start(at))
-        elif app == "javaemail":
-            from ..apps.javaemail.versions import POP3_PORT, SMTP_PORT
-
-            if index % 2 == 0:
-                sessions.append(ScriptedSession(
-                    driver.vm, SMTP_PORT,
-                    send_mail_script("bob@example.org", "alice@example.org",
-                                     [f"endurance ping {index}"]),
-                    name=f"endurance-smtp-{index}",
-                ).start(at))
-            else:
-                sessions.append(ScriptedSession(
-                    driver.vm, POP3_PORT, stat_script("alice", "apass"),
-                    name=f"endurance-pop3-{index}",
-                ).start(at))
-        elif app == "crossftp":
-            sessions.append(ScriptedSession(
-                driver.vm, info.port, browse_script(),
-                name=f"endurance-ftp-{index}",
-            ).start(at))
-        else:  # pragma: no cover - registry is closed
-            raise ValueError(f"unknown app {app!r}")
+        index = len(sessions)
+        sessions.append(open_session(
+            vm, app, index, at,
+            text=f"endurance ping {index}", name="endurance",
+        ))
         at += _SESSION_INTERVAL_MS
-        index += 1
     return sessions
 
 
@@ -220,36 +192,31 @@ def run_endurance(
 
     ``paper_fidelity=True`` disables the in-loop OSR rescue: the two §4
     aborts abort, and the harness restarts onto the target release."""
-    info = APPS[app]
-
-    def fresh(version: str) -> AppDriver:
-        driver = AppDriver(
-            app, info.versions, info.main_class,
-            transformer_overrides=info.transformer_overrides,
-        )
-        driver.boot(version)
-        return driver
-
+    policy = harness_policy(
+        timeout_ms, bypass="auto",
+        inloop_osr="off" if paper_fidelity else "auto",
+    )
     pairs = update_pairs(app)
-    driver = fresh(pairs[0][0])
+    driver = AppDriver.for_app(app).boot(pairs[0][0])
     rows: List[TransitionRow] = []
     for from_version, to_version in pairs:
         assert driver.current_version == from_version
         now = driver.vm.clock.now_ms
-        sessions = _spawn_transition_traffic(driver, app, now + 40.0)
+        sessions = transition_traffic(driver.vm, app, now + 40.0)
         holder = driver.request_update_at(
-            now + _REQUEST_LEAD_MS, to_version, timeout_ms, bypass="auto",
-            inloop_osr="off" if paper_fidelity else "auto",
+            now + _REQUEST_LEAD_MS, to_version, policy
         )
         driver.run(until_ms=now + _WINDOW_MS + _SETTLE_MS)
         result = holder["result"]
-        driver.note_version_if_applied(holder, to_version)
+        if result.succeeded:
+            driver.current_version = to_version
 
-        latency = Histogram(f"endurance.{app}.latency")
-        for value in _latencies(sessions):
-            latency.observe(value)
-        failed = [s for s in sessions
-                  if getattr(s, "done", False) and getattr(s, "failed", None)]
+        latencies = sorted(_latencies(sessions))
+        p50, p95, p99 = (
+            round(nearest_rank(latencies, fraction), 3) if latencies else 0.0
+            for fraction in (0.50, 0.95, 0.99)
+        )
+        failed = [s for s in sessions if s.failed]
         row = TransitionRow(
             app=app,
             from_version=from_version,
@@ -268,39 +235,20 @@ def run_endurance(
                        f"{result.failed_phase}/{result.reason_code}"),
             osr_rescued=result.osr_rescued,
             paper_fidelity=paper_fidelity,
-            sessions_completed=sum(
-                1 for s in sessions if getattr(s, "succeeded", False)
-            ),
+            sessions_completed=sum(1 for s in sessions if s.succeeded),
             sessions_failed=len(failed),
-            session_failure_kinds=sorted(
-                {s.failed.kind for s in failed if s.failed is not None}
-            ),
-            latency_p50_ms=(round(latency.percentile(0.50), 3)
-                            if latency.samples else 0.0),
-            latency_p95_ms=(round(latency.percentile(0.95), 3)
-                            if latency.samples else 0.0),
-            latency_p99_ms=(round(latency.percentile(0.99), 3)
-                            if latency.samples else 0.0),
-            latency_samples=len(latency.samples),
+            session_failure_kinds=sorted({s.failed.kind for s in failed}),
+            latency_p50_ms=p50,
+            latency_p95_ms=p95,
+            latency_p99_ms=p99,
+            latency_samples=len(latencies),
         )
         if not result.succeeded:
             # The operator's move after a genuine abort: restart onto the
             # target release so the stream stays on the registry ladder.
-            driver = fresh(to_version)
+            driver = AppDriver.for_app(app).boot(to_version)
             row.restarted = True
         rows.append(row)
-    return rows
-
-
-def run_endurance_sweep(
-    timeout_ms: float = 1_000.0, paper_fidelity: bool = False
-) -> List[TransitionRow]:
-    """Every application's endurance run, concatenated."""
-    rows: List[TransitionRow] = []
-    for app in APPS:
-        rows.extend(run_endurance(
-            app, timeout_ms=timeout_ms, paper_fidelity=paper_fidelity,
-        ))
     return rows
 
 
@@ -353,13 +301,8 @@ def endurance_report(rows: List[TransitionRow]) -> dict:
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.endurance",
-        description="apply each app's full update stream to one "
-                    "long-lived server under continuous traffic",
-    )
-    parser.add_argument("--app", default=None,
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--app", default=None, choices=tuple(APPS),
                         help="run one app only (default: all)")
     parser.add_argument("--out", default="BENCH_endurance.json",
                         help="where to write the JSON artifact")
@@ -376,31 +319,27 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "bypass or OSR-rescued set differs from the "
                              "registry's, or traffic hit a protocol "
                              "mismatch")
-    args = parser.parse_args(argv)
 
-    if args.app is not None:
-        if args.app not in APPS:
-            print(f"unknown app {args.app!r} "
-                  f"(have: {', '.join(sorted(APPS))})", file=sys.stderr)
-            return 2
-        rows = run_endurance(args.app, timeout_ms=args.timeout_ms,
-                             paper_fidelity=args.paper_fidelity)
-    else:
-        rows = run_endurance_sweep(timeout_ms=args.timeout_ms,
-                                   paper_fidelity=args.paper_fidelity)
+
+def run(args: argparse.Namespace) -> int:
+    rows: List[TransitionRow] = []
+    for app in [args.app] if args.app else APPS:
+        rows.extend(run_endurance(
+            app, timeout_ms=args.timeout_ms,
+            paper_fidelity=args.paper_fidelity,
+        ))
     print(render_endurance_table(rows))
-    report = endurance_report(rows)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}", file=sys.stderr)
+    return finish_run(
+        endurance_report(rows), args.out, args.check, "ENDURANCE"
+    )
 
-    if args.check and report["problems"]:
-        for update, problems in sorted(report["problems"].items()):
-            for problem in problems:
-                print(f"ENDURANCE {update}: {problem}", file=sys.stderr)
-        return 1
-    return 0
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro.harness.endurance", description=__doc__.split("\n\n")[0]
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,6 @@ counts); ``--check`` turns its ``problems`` map into a CI gate.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from dataclasses import dataclass, field
@@ -39,9 +38,19 @@ from ..fleet import (
     RolloutPolicy,
     RolloutReport,
 )
+from .updates import finish_run
 
 #: updates whose rollout is expected to halt (the paper's two §4 aborts)
 EXPECTED_HALTS = {("jetty", "5.1.2", "5.1.3"), ("javaemail", "1.2.4", "1.3")}
+
+#: the shape of one rollout run (simulated ms): boot, traffic before the
+#: rolling update starts, traffic after it ends
+_WARMUP_MS = 150.0
+_PRELOAD_MS = 200.0
+_COOLDOWN_MS = 400.0
+
+#: campaign-wide availability below this is a ``--check`` problem
+AVAILABILITY_FLOOR = 0.99
 
 
 @dataclass
@@ -88,11 +97,6 @@ def run_rollout(
     seed: int = 11,
     faults: Optional[FleetFaultInjector] = None,
     rollout_policy: Optional[RolloutPolicy] = None,
-    warmup_ms: float = 150.0,
-    preload_ms: float = 200.0,
-    cooldown_ms: float = 400.0,
-    traffic_interval_ms: float = 45.0,
-    traffic_jitter_ms: float = 10.0,
 ) -> Tuple[RolloutReport, FleetController]:
     """Boot a fresh fleet on ``from_version`` under continuous traffic,
     run one rolling update, let the traffic settle, and return both the
@@ -101,13 +105,11 @@ def run_rollout(
         app, from_version, size=size, seed=seed,
         faults=faults, rollout=rollout_policy,
     )
-    controller.run_for(warmup_ms)
-    controller.start_traffic(
-        interval_ms=traffic_interval_ms, jitter_ms=traffic_jitter_ms
-    )
-    controller.run_for(preload_ms)
+    controller.run_for(_WARMUP_MS)
+    controller.start_traffic()
+    controller.run_for(_PRELOAD_MS)
     report = controller.rolling_update(to_version)
-    controller.run_for(cooldown_ms)
+    controller.run_for(_COOLDOWN_MS)
     controller.stop_traffic()
     # Let the last sessions finish so availability counts them.
     settle_deadline = controller.now + 3_000.0
@@ -289,17 +291,16 @@ def fleet_report(
     scenarios: List[dict],
     size: int,
     seed: int,
-    availability_floor: float = 0.99,
 ) -> dict:
     """The ``BENCH_fleet.json`` payload, ``problems`` map included."""
     completed = sum(row.sessions_completed for row in rows)
     failed = sum(row.sessions_failed for row in rows)
     availability = completed / (completed + failed) if completed + failed else 1.0
     problems: Dict[str, List[str]] = {}
-    if availability < availability_floor:
+    if availability < AVAILABILITY_FLOOR:
         problems["campaign"] = [
             f"fleet availability {availability:.4f} below the "
-            f"{availability_floor:.2%} floor"
+            f"{AVAILABILITY_FLOOR:.2%} floor"
         ]
     for row in rows:
         key = (row.app, row.from_version, row.to_version)
@@ -376,12 +377,15 @@ def render_scenario_table(scenarios: List[dict]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.fleet",
-        description="fleet-scale rolling-update campaign and fault battery",
-    )
-    parser.add_argument("--members", type=int, default=4,
+def _fleet_size(text: str) -> int:
+    size = int(text)
+    if size < 2:
+        raise argparse.ArgumentTypeError("a fleet needs at least 2 members")
+    return size
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--members", type=_fleet_size, default=4,
                         help="fleet size for the campaign (>= 2)")
     parser.add_argument("--seed", type=int, default=11,
                         help="traffic RNG seed (bit-for-bit reproducible)")
@@ -395,8 +399,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="exit non-zero on any problem: availability "
                              "below 99%%, an unexpected rollout outcome, or "
                              "a fault scenario the orchestrator mishandled")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
     rows = run_campaign(size=args.members, seed=args.seed, limit=args.updates)
     print(render_campaign_table(rows))
     scenarios = [] if args.no_scenarios else run_fault_scenarios(
@@ -405,17 +410,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if scenarios:
         print()
         print(render_scenario_table(scenarios))
-    report = fleet_report(rows, scenarios, args.members, args.seed)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}", file=sys.stderr)
-    if args.check and report["problems"]:
-        for key, problems in sorted(report["problems"].items()):
-            for problem in problems:
-                print(f"FLEET-PROBLEM {key}: {problem}", file=sys.stderr)
-        return 1
-    return 0
+    return finish_run(
+        fleet_report(rows, scenarios, args.members, args.seed),
+        args.out, args.check, "FLEET-PROBLEM",
+    )
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro.harness.fleet", description=__doc__.split("\n\n")[0]
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

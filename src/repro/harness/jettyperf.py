@@ -22,9 +22,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..apps.jetty.versions import HTTP_PORT, MAIN_CLASS, VERSIONS
+from ..apps.jetty.versions import HTTP_PORT
 from ..harness.updates import AppDriver
 from ..net.httpclient import HttpConnectionClient
+from ..obs.metrics import nearest_rank
 
 CONFIGURATIONS = ("stock", "jvolve", "updated")
 
@@ -52,10 +53,7 @@ class PerfSummary:
 
 
 def _percentile(values: List[float], fraction: float) -> float:
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+    return nearest_rank(sorted(values), fraction) if values else 0.0
 
 
 def run_one(
@@ -68,7 +66,7 @@ def run_one(
     costs=None,
 ) -> PerfRun:
     """One measurement run of one configuration."""
-    driver = AppDriver("jetty", VERSIONS, MAIN_CLASS, costs=costs)
+    driver = AppDriver.for_app("jetty", costs=costs)
     if configuration == "updated":
         driver.boot("5.1.5")
         holder = driver.request_update_at(50, "5.1.6")

@@ -30,41 +30,25 @@ Two experiments, one artifact (``BENCH_lazy.json``):
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..apps.registry import APPS, update_pairs
-from ..compiler.compile import compile_source
-from ..dsu.engine import UpdateEngine, UpdateRequest
 from ..dsu.policy import UpdatePolicy
 from ..dsu.safepoint import RetryPolicy
-from ..dsu.upt import prepare_update
 from ..vm.heap import NULL
 from ..vm.rvmclass import RVMClass
 from ..vm.vm import VM
-from .microbench import MICRO_V1, MICRO_V2, heap_cells_for, populate
-from .updates import AppDriver
+from .microbench import apply_micro_update, heap_cells_for
+from .updates import finish_run, harness_policy, run_update
 
 #: the pause-scaling sweep: 10k -> 1M objects, two orders of magnitude
 DEFAULT_CURVE_SIZES = (10_000, 100_000, 1_000_000)
 
 #: scaled-down sweep for tests / --quick runs
 QUICK_CURVE_SIZES = (1_000, 4_000, 16_000)
-
-_classfile_cache: Dict[str, dict] = {}
-
-
-def _micro_classfiles(version: str) -> dict:
-    cached = _classfile_cache.get(version)
-    if cached is None:
-        source = MICRO_V1 if version == "micro1" else MICRO_V2
-        cached = compile_source(source, version=version)
-        _classfile_cache[version] = cached
-    return cached
-
 
 # ---------------------------------------------------------------------------
 # the pause-scaling curve
@@ -97,40 +81,18 @@ class CurvePoint:
         return self.total_pause_ms + self.epoch_drain_ms
 
 
-def measure_curve_point(
-    num_objects: int,
-    mode: str,
-    fraction: float = 1.0,
-    timeout_ms: float = 120_000.0,
-) -> CurvePoint:
-    """Populate a heap with ``num_objects`` microbenchmark objects and
-    apply one update in the given transform mode; for lazy, drain the
-    epoch synchronously so its full deferred cost is on the books."""
+def measure_curve_point(num_objects: int, mode: str) -> CurvePoint:
+    """Populate a heap with ``num_objects`` microbenchmark objects (all
+    ``Change`` instances) and apply one update in the given transform
+    mode; for lazy, drain the epoch synchronously so its full deferred
+    cost is on the books."""
     heap_cells = heap_cells_for(max(num_objects, 256))
-    vm = VM(heap_cells=heap_cells)
-    vm.boot(_micro_classfiles("micro1"))
-    vm.start_main("Main")
-    vm.run(max_instructions=10_000)  # main returns immediately
-
-    populate(vm, num_objects, fraction)
-
-    prepared = prepare_update(
-        _micro_classfiles("micro1"), _micro_classfiles("micro2"),
-        "micro1", "micro2",
+    driver, result = apply_micro_update(
+        num_objects, 1.0,
+        UpdatePolicy(retry=RetryPolicy(timeout_ms=120_000.0), transform=mode),
+        heap_cells,
     )
-    engine = UpdateEngine(vm)
-    result = engine.submit(UpdateRequest(
-        prepared,
-        policy=UpdatePolicy(
-            retry=RetryPolicy(timeout_ms=timeout_ms), transform=mode
-        ),
-    ))
-    vm.run(max_instructions=1_000_000_000)
-    if not result.succeeded:
-        raise RuntimeError(
-            f"lazyheap update failed ({mode}, {num_objects} objects): "
-            f"{result.reason}"
-        )
+    vm, engine = driver.vm, driver.engine
 
     epoch_drain_ms = 0.0
     sweep_transforms = touch_transforms = 0
@@ -325,40 +287,17 @@ class DifferentialRow:
         return problems
 
 
-def _apply_quiescent(
-    app: str, from_version: str, to_version: str, mode: str,
-    request_at_ms: float, until_ms: float,
-):
-    info = APPS[app]
-    driver = AppDriver(
-        app, info.versions, info.main_class,
-        transformer_overrides=info.transformer_overrides,
-    )
-    driver.boot(from_version)
-    holder = driver.request_update_at(
-        request_at_ms, to_version, timeout_ms=1_000.0, transform=mode,
-    )
-    driver.run(until_ms=until_ms)
-    result = holder["result"]
-    if result.succeeded and mode == "lazy":
-        driver.engine.drain_lazy_epoch()
-    return driver, result
-
-
 def compare_update_pair(
-    app: str,
-    from_version: str,
-    to_version: str,
-    request_at_ms: float = 300.0,
-    until_ms: float = 4_500.0,
+    app: str, from_version: str, to_version: str
 ) -> DifferentialRow:
     """Boot ``from_version`` twice (no load), update once per mode, drain
     the lazy epoch, and compare the end states."""
-    eager_driver, eager_result = _apply_quiescent(
-        app, from_version, to_version, "eager", request_at_ms, until_ms
+    eager_driver, eager_holder, _ = run_update(
+        app, from_version, to_version, harness_policy(1_000.0)
     )
-    lazy_driver, lazy_result = _apply_quiescent(
-        app, from_version, to_version, "lazy", request_at_ms, until_ms
+    lazy_driver, lazy_holder, _ = run_update(
+        app, from_version, to_version,
+        harness_policy(1_000.0, transform="lazy"),
     )
     eager_print = heap_fingerprint(eager_driver.vm)
     lazy_print = heap_fingerprint(lazy_driver.vm)
@@ -379,8 +318,8 @@ def compare_update_pair(
         app=app,
         from_version=from_version,
         to_version=to_version,
-        eager_status=eager_result.status,
-        lazy_status=lazy_result.status,
+        eager_status=eager_holder["result"].status,
+        lazy_status=lazy_holder["result"].status,
         state_equal=eager_print == lazy_print,
         console_equal=eager_driver.vm.console == lazy_driver.vm.console,
         objects_compared=len(lazy_print),
@@ -388,15 +327,13 @@ def compare_update_pair(
     )
 
 
-def run_differential(**kwargs) -> List[DifferentialRow]:
+def run_differential() -> List[DifferentialRow]:
     """Eager-vs-lazy end-state equality for all bundled updates."""
-    rows = []
-    for app in APPS:
-        for from_version, to_version in update_pairs(app):
-            rows.append(
-                compare_update_pair(app, from_version, to_version, **kwargs)
-            )
-    return rows
+    return [
+        compare_update_pair(app, from_version, to_version)
+        for app in APPS
+        for from_version, to_version in update_pairs(app)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +403,20 @@ def lazyheap_report(
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.lazyheap",
-        description="lazy vs eager update pause scaling and end-state "
-                    "equality",
-    )
+def _sizes(text: str) -> Tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated object counts, got {text!r}"
+        ) from None
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="BENCH_lazy.json",
                         help="where to write the JSON artifact")
-    parser.add_argument("--sizes", default=None, metavar="N,N,...",
+    parser.add_argument("--sizes", type=_sizes, default=None,
+                        metavar="N,N,...",
                         help="comma-separated object counts for the curve "
                              f"(default {','.join(map(str, DEFAULT_CURVE_SIZES))})")
     parser.add_argument("--quick", action="store_true",
@@ -490,33 +432,30 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "pause grows >= 50x across the sweep, and "
                              "every bundled update reaches the same end "
                              "state in both modes")
-    args = parser.parse_args(argv)
 
-    if args.sizes:
-        sizes = tuple(int(part) for part in args.sizes.split(","))
-    elif args.quick:
-        sizes = QUICK_CURVE_SIZES
-    else:
-        sizes = DEFAULT_CURVE_SIZES
 
+def run(args: argparse.Namespace) -> int:
+    sizes = args.sizes or (
+        QUICK_CURVE_SIZES if args.quick else DEFAULT_CURVE_SIZES
+    )
     baseline, points = run_curve(sizes)
     print(render_curve(baseline, points))
     differential: List[DifferentialRow] = []
     if not args.no_differential:
         differential = run_differential()
         print(render_differential(differential))
+    return finish_run(
+        lazyheap_report(baseline, points, differential),
+        args.out, args.check, "GATE",
+    )
 
-    report = lazyheap_report(baseline, points, differential)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}", file=sys.stderr)
 
-    if args.check and report["problems"]:
-        for problem in report["problems"]:
-            print(f"GATE {problem}", file=sys.stderr)
-        return 1
-    return 0
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro.harness.lazyheap", description=__doc__.split("\n\n")[0]
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

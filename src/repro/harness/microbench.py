@@ -17,14 +17,14 @@ from 0% to 100% updated, transformer time linear and steeper, total pause
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
-from ..compiler.compile import compile_source
-from ..dsu.engine import UpdateEngine, UpdateRequest
+from ..apps.sessions import open_session
+from ..dsu.engine import UpdateRequest, UpdateResult
 from ..dsu.policy import UpdatePolicy
 from ..dsu.safepoint import RetryPolicy
-from ..dsu.upt import prepare_update
 from ..vm.vm import VM
+from .updates import AppDriver, harness_policy, run_update
 
 MICRO_V1 = """
 class Change {
@@ -131,35 +131,47 @@ def populate(vm: VM, num_objects: int, fraction: float) -> int:
     return num_change
 
 
-def run_microbench(
+def apply_micro_update(
     num_objects: int,
     fraction: float,
-    heap_cells: Optional[int] = None,
-    timeout_ms: float = 60_000.0,
+    policy: UpdatePolicy,
+    heap_cells: int,
     costs=None,
+) -> Tuple[AppDriver, UpdateResult]:
+    """Boot the microbenchmark program on a ``heap_cells`` heap holding
+    ``num_objects`` objects (``fraction`` of them ``Change`` instances) and
+    apply the micro1 -> micro2 update under ``policy``; raises unless it
+    applies."""
+    driver = AppDriver(
+        "micro", {"micro1": MICRO_V1, "micro2": MICRO_V2}, "Main",
+        heap_cells=heap_cells, costs=costs,
+    ).boot("micro1")
+    driver.run(max_instructions=10_000)  # main returns immediately
+
+    populate(driver.vm, num_objects, fraction)
+
+    result = driver.engine.submit(
+        UpdateRequest(driver.prepare("micro2"), policy=policy)
+    )
+    driver.run(max_instructions=1_000_000_000)
+    if not result.succeeded:
+        raise RuntimeError(
+            f"microbenchmark update failed ({policy.transform}, "
+            f"{num_objects} objects): {result.reason}"
+        )
+    return driver, result
+
+
+def run_microbench(
+    num_objects: int, fraction: float, costs=None
 ) -> MicrobenchResult:
     """Populate a heap and measure one update's pause breakdown."""
-    heap_cells = heap_cells or heap_cells_for(num_objects)
-    vm = VM(heap_cells=heap_cells, costs=costs)
-    old_classfiles = compile_source(MICRO_V1, version="micro1")
-    vm.boot(old_classfiles)
-    vm.start_main("Main")
-    vm.run(max_instructions=10_000)  # main returns immediately
-
-    populate(vm, num_objects, fraction)
-
-    new_classfiles = compile_source(MICRO_V2, version="micro2")
-    prepared = prepare_update(old_classfiles, new_classfiles, "micro1", "micro2")
-    engine = UpdateEngine(vm)
-    result = engine.submit(
-        UpdateRequest(
-            prepared,
-            policy=UpdatePolicy(retry=RetryPolicy(timeout_ms=timeout_ms)),
-        )
+    heap_cells = heap_cells_for(num_objects)
+    _, result = apply_micro_update(
+        num_objects, fraction,
+        UpdatePolicy(retry=RetryPolicy(timeout_ms=60_000.0)),
+        heap_cells, costs=costs,
     )
-    vm.run(max_instructions=100_000_000)
-    if not result.succeeded:
-        raise RuntimeError(f"microbenchmark update failed: {result.reason}")
     return MicrobenchResult(
         num_objects=num_objects,
         fraction=fraction,
@@ -214,71 +226,37 @@ class SafepointAcquisitionResult:
     total_pause_ms: float
 
 
-def _schedule_busy_load(driver, app: str, port: int) -> None:
+#: per-app session start times (simulated ms) for :func:`busy_load`
+BUSY_LOAD_STARTS = {
+    "jetty": [30.0 + 7.0 * i for i in range(3)],
+    "javaemail": [30.0 + 20.0 * i for i in range(6)],
+    "crossftp": [30.0 + 40.0 * i for i in range(3)],
+}
+
+
+def busy_load(vm: VM, app: str) -> list:
     """Sustained traffic so application frames are live when the update
     fires (heavier than the experience sweep's light load)."""
-    from ..net.httpclient import HttpConnectionClient
-    from ..net.loadgen import ScriptedSession
-
-    if app == "jetty":
-        for i in range(3):
-            HttpConnectionClient(
-                driver.vm, port, "/file.bin", 60
-            ).start(30.0 + 7.0 * i)
-    elif app == "javaemail":
-        from ..apps.javaemail.versions import POP3_PORT, SMTP_PORT
-        from ..net.popclient import stat_script
-        from ..net.smtpclient import send_mail_script
-
-        for i in range(3):
-            ScriptedSession(
-                driver.vm, SMTP_PORT,
-                send_mail_script("bob@example.org", "alice@example.org",
-                                 ["load " + str(i)]),
-            ).start(30.0 + 40.0 * i)
-            ScriptedSession(
-                driver.vm, POP3_PORT, stat_script("alice", "apass")
-            ).start(50.0 + 40.0 * i)
-    elif app == "crossftp":
-        from ..net.ftpclient import browse_script
-
-        for i in range(3):
-            ScriptedSession(
-                driver.vm, port, browse_script()
-            ).start(30.0 + 40.0 * i)
+    return [
+        open_session(vm, app, index, at_ms, text=f"load {index // 2}",
+                     num_requests=60)
+        for index, at_ms in enumerate(BUSY_LOAD_STARTS[app])
+    ]
 
 
 def run_safepoint_acquisition_bench(
-    app: str = "javaemail",
-    from_version: str = "1.3.1",
-    to_version: str = "1.3.2",
-    minimize: bool = True,
-    request_at_ms: float = 120.0,
-    timeout_ms: float = 1_000.0,
-    retries: int = 6,
-    backoff: float = 1.5,
-    until_ms: float = 30_000.0,
+    app: str, from_version: str, to_version: str, minimize: bool
 ) -> SafepointAcquisitionResult:
     """Boot a server, put it under sustained load so application frames
     are live when the update fires, and measure how quickly the DSU safe
     point is acquired with/without restricted-set minimization."""
-    from ..apps.registry import APPS
-    from .updates import AppDriver
-
-    info = APPS[app]
-    driver = AppDriver(
-        app, info.versions, info.main_class,
-        transformer_overrides=info.transformer_overrides,
+    driver, holder, _ = run_update(
+        app, from_version, to_version,
+        harness_policy(retry=RetryPolicy(1_000.0, retries=6, backoff=1.5)),
+        busy_load, request_at_ms=120.0, until_ms=30_000.0, minimize=minimize,
     )
-    driver.boot(from_version)
-    _schedule_busy_load(driver, app, info.port)
-    holder = driver.request_update_at(
-        request_at_ms, to_version, timeout_ms=timeout_ms,
-        retries=retries, backoff=backoff, minimize=minimize,
-    )
-    driver.run(until_ms=until_ms)
     result = holder["result"]
-    spec = driver.prepare_pair(from_version, to_version, minimize).spec
+    spec = holder["prepared"].spec
     wait_ms = max(
         0.0,
         result.finished_at_ms - result.requested_at_ms - result.total_pause_ms,

@@ -20,15 +20,14 @@ Artifacts:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..apps.registry import APPS, update_pairs
 from ..obs.export import write_chrome_trace
-from .tables import _schedule_light_load
-from .updates import AppDriver
+from ..vm.vm import VM
+from .updates import finish_run, harness_policy, light_load, run_update
 
 #: tolerance when comparing simulated-millisecond sums
 _EPS_MS = 1e-6
@@ -109,47 +108,17 @@ def measure_pause(
     until_ms: float = 4_500.0,
     trace_out: Optional[str] = None,
     transform: str = "eager",
-) -> PauseRow:
+) -> Tuple[PauseRow, VM]:
     """Boot ``from_version`` under light load, apply one update, and return
-    its pause breakdown. With ``trace_out`` the run's full span tree is
-    written as Chrome ``trace_event`` JSON."""
-    row, _ = measure_pause_with_vm(
-        app, from_version, to_version, request_at_ms=request_at_ms,
-        timeout_ms=timeout_ms, until_ms=until_ms, trace_out=trace_out,
-        transform=transform,
+    its pause breakdown plus the VM (for its span tree and metrics). With
+    ``trace_out`` the run's full span tree is written as Chrome
+    ``trace_event`` JSON."""
+    driver, holder, _ = run_update(
+        app, from_version, to_version,
+        harness_policy(timeout_ms, transform=transform), light_load,
+        request_at_ms=request_at_ms, until_ms=until_ms,
     )
-    return row
-
-
-def measure_pause_with_vm(
-    app: str,
-    from_version: str,
-    to_version: str,
-    request_at_ms: float = 300.0,
-    timeout_ms: float = 1_000.0,
-    until_ms: float = 4_500.0,
-    trace_out: Optional[str] = None,
-    transform: str = "eager",
-) -> Tuple[PauseRow, "object"]:
-    """:func:`measure_pause`, but also hands back the VM so callers can
-    render the span tree or inspect the metrics registry."""
-    info = APPS[app]
-    driver = AppDriver(
-        app, info.versions, info.main_class,
-        transformer_overrides=info.transformer_overrides,
-    )
-    driver.boot(from_version)
-    _schedule_light_load(driver, app, info.port)
-    holder = driver.request_update_at(
-        request_at_ms, to_version, timeout_ms, transform=transform
-    )
-    driver.run(until_ms=until_ms)
     result = holder["result"]
-    if result.succeeded and transform == "lazy":
-        # Retire the epoch before accounting so the run is comparable to
-        # an eager one end to end (the drain cost lives in sweep spans,
-        # not in any pause phase).
-        driver.engine.drain_lazy_epoch()
     vm = driver.vm
     spec = holder["prepared"].spec
     row = PauseRow(
@@ -179,21 +148,16 @@ def measure_pause_with_vm(
     return row, vm
 
 
-def run_pause_sweep(
-    transforms: Tuple[str, ...] = ("eager", "lazy"), **kwargs
-) -> List[PauseRow]:
+def run_pause_sweep() -> List[PauseRow]:
     """Pause breakdowns for every bundled update of every application,
     once per transform mode (the lazy rows feed the zero-per-object-work
     soundness gate)."""
-    rows = []
-    for app in APPS:
-        for from_version, to_version in update_pairs(app):
-            for transform in transforms:
-                rows.append(measure_pause(
-                    app, from_version, to_version, transform=transform,
-                    **kwargs,
-                ))
-    return rows
+    return [
+        measure_pause(app, from_version, to_version, transform=transform)[0]
+        for app in APPS
+        for from_version, to_version in update_pairs(app)
+        for transform in ("eager", "lazy")
+    ]
 
 
 _PHASE_ORDER = ("suspend", "classload", "osr", "gc", "transform", "cleanup")
@@ -245,11 +209,7 @@ def pause_report(rows: List[PauseRow]) -> dict:
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.pauses",
-        description="per-phase pause breakdowns for all bundled updates",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="BENCH_pauses.json",
                         help="where to write the JSON artifact")
     parser.add_argument("--trace-out", default=None, metavar="FILE",
@@ -264,26 +224,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "lazy update reports any update-collection "
                              "pause or in-pause object transforms (all "
                              "per-object work must leave the pause)")
-    args = parser.parse_args(argv)
 
+
+def run(args: argparse.Namespace) -> int:
     rows = run_pause_sweep()
     print(render_pause_table(rows))
-    report = pause_report(rows)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}", file=sys.stderr)
-
     if args.trace_out:
         measure_pause("javaemail", "1.3.1", "1.3.2", trace_out=args.trace_out)
         print(f"wrote {args.trace_out}", file=sys.stderr)
+    return finish_run(pause_report(rows), args.out, args.check, "UNSOUND")
 
-    if args.check and report["problems"]:
-        for update, problems in sorted(report["problems"].items()):
-            for problem in problems:
-                print(f"UNSOUND {update}: {problem}", file=sys.stderr)
-        return 1
-    return 0
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro.harness.pauses", description=__doc__.split("\n\n")[0]
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

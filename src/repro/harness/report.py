@@ -13,11 +13,9 @@ import os
 import sys
 from typing import List
 
-import json
-
 from .jettyperf import run_experiment
 from .microbench import run_microbench, sweep
-from .pauses import pause_report, render_pause_table, run_pause_sweep
+from .pauses import render_pause_table, run_pause_sweep
 from .plots import figure6_chart
 from .tables import (
     render_experience_table,
@@ -79,8 +77,6 @@ def generate_report(scale: str = "small", out_dir: str = "benchmark_results") ->
     path = os.path.join(out_dir, "REPORT.txt")
     with open(path, "w") as handle:
         handle.write(report)
-    with open(os.path.join(out_dir, "BENCH_pauses.json"), "w") as handle:
-        json.dump(pause_report(rows), handle, indent=2, sort_keys=True)
     return report
 
 

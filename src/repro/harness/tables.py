@@ -6,15 +6,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..apps.registry import APPS, EXPECTED_OUTCOMES, expected_outcome, update_pairs
+from ..apps.registry import APPS, expected_outcome, update_pairs
 from ..dsu.upt import diff_programs
-from ..net.httpclient import HttpConnectionClient
-from ..net.ftpclient import browse_script
-from ..net.loadgen import ScriptedSession
-from ..net.popclient import stat_script
-from ..net.smtpclient import send_mail_script
 from .microbench import MicrobenchResult
-from .updates import AppDriver, AppUpdateOutcome
+from .updates import (
+    AppDriver,
+    AppUpdateOutcome,
+    harness_policy,
+    light_load,
+    run_update,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +85,7 @@ def render_figure6(results: Sequence[MicrobenchResult], num_objects: int) -> str
 
 
 def update_summary_rows(app: str) -> List[dict]:
-    info = APPS[app]
-    driver = AppDriver(app, info.versions, info.main_class)
+    driver = AppDriver.for_app(app)
     rows = []
     for from_version, to_version in update_pairs(app):
         spec = diff_programs(
@@ -127,62 +127,24 @@ def render_update_table(app: str) -> str:
 # The experience sweep (the 20-of-22 headline)
 
 
-def _schedule_light_load(driver: AppDriver, app: str, port: int):
-    """Periodic light traffic with gaps, so DSU safe points are reachable
-    (the paper applied updates under comparable conditions)."""
-    sessions = []
-    if app == "jetty":
-        for i in range(5):
-            sessions.append(
-                HttpConnectionClient(driver.vm, port, "/file.bin", 3).start(40 + 150 * i)
-            )
-    elif app == "javaemail":
-        from ..apps.javaemail.versions import POP3_PORT, SMTP_PORT
-
-        sessions.append(
-            ScriptedSession(
-                driver.vm, SMTP_PORT,
-                send_mail_script("bob@example.org", "alice@example.org", ["ping"]),
-            ).start(40)
-        )
-        sessions.append(
-            ScriptedSession(driver.vm, POP3_PORT, stat_script("alice", "apass")).start(500)
-        )
-    elif app == "crossftp":
-        sessions.append(ScriptedSession(driver.vm, port, browse_script()).start(40))
-        sessions.append(ScriptedSession(driver.vm, port, browse_script()).start(700))
-    return sessions
-
-
 def run_single_update(
     app: str,
     from_version: str,
     to_version: str,
-    request_at_ms: float = 300.0,
     timeout_ms: float = 1_000.0,
-    until_ms: float = 4_500.0,
-    bypass: str = "off",
     paper_fidelity: bool = False,
 ) -> AppUpdateOutcome:
     """Boot ``from_version`` under light load, apply one update, report.
 
-    ``bypass="auto"`` lets bypass-eligible updates take the zero-pause
-    immediate-bypass path instead of acquiring a safe point.
     ``paper_fidelity=True`` disables the in-loop OSR rescue, reproducing
     the paper's §4 numbers exactly (20 of 22; the two blocked-forever
     updates abort)."""
-    info = APPS[app]
-    driver = AppDriver(
-        app, info.versions, info.main_class,
-        transformer_overrides=info.transformer_overrides,
+    policy = harness_policy(
+        timeout_ms, inloop_osr="off" if paper_fidelity else "auto"
     )
-    driver.boot(from_version)
-    sessions = _schedule_light_load(driver, app, info.port)
-    holder = driver.request_update_at(
-        request_at_ms, to_version, timeout_ms, bypass=bypass,
-        inloop_osr="off" if paper_fidelity else "auto",
+    driver, holder, sessions = run_update(
+        app, from_version, to_version, policy, light_load
     )
-    driver.run(until_ms=until_ms)
     result = holder["result"]
     from ..analysis import analyze_update
 
@@ -203,14 +165,8 @@ def run_single_update(
         from_version=from_version,
         to_version=to_version,
         result=result,
-        sessions_completed=sum(
-            1 for s in sessions if getattr(s, "succeeded", False)
-        ),
-        sessions_failed=sum(
-            1
-            for s in sessions
-            if getattr(s, "done", False) and getattr(s, "failed", None)
-        ),
+        sessions_completed=sum(1 for s in sessions if s.succeeded),
+        sessions_failed=sum(1 for s in sessions if s.failed),
         body_only_supported=prepared_again.spec.method_body_only(),
         predicted_abort=lint_report.predicted_abort,
         bc_verdict=(

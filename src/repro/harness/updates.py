@@ -8,9 +8,13 @@ and JavaEmailServer 1.3 abort; CrossFTP 1.08 applies only when idle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import json
+import sys
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
+from ..apps.registry import APPS
+from ..apps.sessions import open_session
 from ..compiler.compile import compile_source
 from ..dsu.engine import UpdateEngine, UpdateRequest, UpdateResult
 from ..dsu.policy import UpdatePolicy
@@ -105,6 +109,12 @@ class AppUpdateOutcome:
         return self.predicted_abort != ""
 
 
+#: compiled classfiles, process-wide (class metadata is immutable; each VM
+#: builds its own runtime state from it), so a fleet or a sweep compiles a
+#: release once. Keyed on the source text: ``versions`` dicts are arbitrary.
+_classfile_cache: Dict[Tuple[str, str], dict] = {}
+
+
 class AppDriver:
     """Boots one application version on a fresh VM and applies updates."""
 
@@ -122,20 +132,29 @@ class AppDriver:
         self.versions = versions
         self.main_class = main_class
         self.transformer_overrides = transformer_overrides or {}
-        self._classfile_cache: Dict[str, dict] = {}
         self.vm = VM(heap_cells=heap_cells, quantum=quantum, costs=costs)
         self.engine = UpdateEngine(self.vm)
         self.current_version: Optional[str] = None
 
+    @classmethod
+    def for_app(cls, app: str, **vm_kwargs) -> "AppDriver":
+        """A driver for one of the bundled applications (``APPS``)."""
+        info = APPS[app]
+        return cls(
+            app, info.versions, info.main_class,
+            transformer_overrides=info.transformer_overrides, **vm_kwargs,
+        )
+
     # ------------------------------------------------------------------
 
     def classfiles(self, version: str):
-        cached = self._classfile_cache.get(version)
+        filename = f"<{self.app_name} {version}>"
+        key = (filename, self.versions[version])
+        cached = _classfile_cache.get(key)
         if cached is None:
-            cached = compile_source(
-                self.versions[version], f"<{self.app_name} {version}>", version=version
+            cached = _classfile_cache[key] = compile_source(
+                self.versions[version], filename, version=version
             )
-            self._classfile_cache[version] = cached
         return cached
 
     def boot(self, version: str) -> "AppDriver":
@@ -165,28 +184,14 @@ class AppDriver:
         self,
         time_ms: float,
         to_version: str,
-        timeout_ms: float = 15_000.0,
-        retries: int = 0,
-        backoff: float = 2.0,
-        minimize: bool = True,
-        lint: str = "off",
-        bypass: str = "off",
-        inloop_osr: str = "auto",
-        transform: str = "eager",
         policy: Optional[UpdatePolicy] = None,
+        minimize: bool = True,
     ) -> Dict[str, UpdateResult]:
+        """Schedule an update to ``to_version`` at ``time_ms``; ``policy``
+        defaults to :func:`harness_policy`. The returned holder carries
+        ``"prepared"`` now and ``"result"`` once the request has fired."""
         prepared = self.prepare(to_version, minimize=minimize)
-        if policy is None:
-            policy = UpdatePolicy(
-                retry=RetryPolicy(
-                    timeout_ms=timeout_ms, retries=retries, backoff=backoff
-                ),
-                lint=lint,
-                bypass=bypass,
-                inloop_osr=inloop_osr,
-                transform=transform,
-            )
-        request = UpdateRequest(prepared, policy=policy)
+        request = UpdateRequest(prepared, policy=policy or harness_policy())
         holder: Dict[str, UpdateResult] = {}
         holder["prepared"] = prepared  # type: ignore[assignment]
 
@@ -196,12 +201,92 @@ class AppDriver:
         self.vm.events.schedule(time_ms, fire)
         return holder
 
-    def run(self, until_ms: float, max_instructions: int = 50_000_000) -> "AppDriver":
+    def run(
+        self, until_ms: Optional[float] = None,
+        max_instructions: int = 50_000_000,
+    ) -> "AppDriver":
         self.vm.run(until_ms=until_ms, max_instructions=max_instructions)
         return self
 
-    def note_version_if_applied(self, holder: Dict[str, UpdateResult], to_version: str):
-        result = holder.get("result")
-        if result is not None and result.succeeded:
-            self.current_version = to_version
-        return result
+
+# ---------------------------------------------------------------------------
+# the one update experiment
+
+
+def harness_policy(timeout_ms: float = 15_000.0, **overrides) -> UpdatePolicy:
+    """The harnesses' default policy: the paper's eager update with one
+    ``timeout_ms`` safe-point window, plus the in-loop OSR rescue (22 of
+    22). *Not* ``UpdatePolicy()``: its ``inloop_osr="off"`` is the fleet's
+    default (:meth:`repro.fleet.controller.RolloutPolicy.update_policy`)."""
+    overrides.setdefault("retry", RetryPolicy(timeout_ms=timeout_ms))
+    overrides.setdefault("inloop_osr", "auto")
+    return UpdatePolicy.paper(**overrides)
+
+
+#: per-app session start times (simulated ms) for :func:`light_load`
+LIGHT_LOAD_STARTS = {
+    "jetty": [40 + 150 * i for i in range(5)],
+    "javaemail": [40, 500],
+    "crossftp": [40, 700],
+}
+
+
+def light_load(vm: VM, app: str) -> list:
+    """Periodic light traffic with gaps, so DSU safe points are reachable
+    (the paper applied updates under comparable conditions)."""
+    return [
+        open_session(vm, app, index, at_ms)
+        for index, at_ms in enumerate(LIGHT_LOAD_STARTS[app])
+    ]
+
+
+def run_update(
+    app: str,
+    from_version: str,
+    to_version: str,
+    policy: UpdatePolicy,
+    load: Optional[Callable[[VM, str], list]] = None,
+    request_at_ms: float = 300.0,
+    until_ms: float = 4_500.0,
+    minimize: bool = True,
+):
+    """The §4 experiment: boot ``from_version`` of a bundled app, schedule
+    the ``load(vm, app)`` sessions, submit the update at ``request_at_ms``,
+    run to ``until_ms``, and retire a lazy epoch so the run compares with
+    an eager one (the drain is in sweep spans, not in a pause phase).
+    Returns ``(driver, request_update_at's holder, sessions)``."""
+    driver = AppDriver.for_app(app).boot(from_version)
+    sessions = load(driver.vm, app) if load is not None else []
+    holder = driver.request_update_at(
+        request_at_ms, to_version, policy, minimize=minimize
+    )
+    driver.run(until_ms=until_ms)
+    if holder["result"].succeeded and policy.transform == "lazy":
+        driver.engine.drain_lazy_epoch()
+    return driver, holder, sessions
+
+
+# ---------------------------------------------------------------------------
+# the one harness command line
+
+
+def finish_run(report: dict, out: str, check: bool, prefix: str) -> int:
+    """The tail of every harness run: write the JSON artifact and, under
+    ``--check``, print ``report["problems"]`` (a list, or a map of subject
+    -> list) to stderr behind ``prefix``. Returns the exit code."""
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {out}", file=sys.stderr)
+    problems = report["problems"]
+    if isinstance(problems, dict):
+        problems = [
+            f"{subject}: {problem}"
+            for subject, entries in sorted(problems.items())
+            for problem in entries
+        ]
+    if not check or not problems:
+        return 0
+    for problem in problems:
+        print(f"{prefix} {problem}", file=sys.stderr)
+    return 1

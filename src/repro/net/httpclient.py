@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
+from ..obs.metrics import nearest_rank
 from .loadgen import (
     FAILURE_PROTOCOL,
     FAILURE_REFUSED,
@@ -215,9 +216,4 @@ class HttperfLoad:
         values = sorted(self.latencies())
         if not values:
             return (0.0, 0.0, 0.0)
-
-        def percentile(fraction: float) -> float:
-            index = min(len(values) - 1, int(fraction * len(values)))
-            return values[index]
-
-        return (percentile(0.50), percentile(0.25), percentile(0.75))
+        return tuple(nearest_rank(values, f) for f in (0.50, 0.25, 0.75))

@@ -21,11 +21,18 @@ long campaigns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-#: retained observations per histogram; beyond this, percentile() reports
-#: on the first _SAMPLE_CAP samples (count/total/min/max stay exact)
+#: retained observations per histogram; beyond this, percentile() refuses
+#: to answer rather than report on a prefix (count/total/min/max stay exact)
 _SAMPLE_CAP = 8192
+
+
+def nearest_rank(ordered: Sequence[float], fraction: float) -> float:
+    """The nearest-rank percentile of a non-empty ascending sequence
+    (``fraction`` 0.5 = median, 0.99 = p99)."""
+    index = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
+    return ordered[index]
 
 
 def _series_name(name: str, labels: Dict[str, str]) -> str:
@@ -82,18 +89,22 @@ class Histogram:
 
         An empty histogram has no percentiles: asking for one is a caller
         bug (a silent 0.0 here once masqueraded as a perfect p99), so it
-        raises :class:`ValueError` with the series name. A single-sample
-        series returns that sample for every fraction."""
+        raises :class:`ValueError` with the series name — as does a series
+        that outgrew the sample buffer, whose percentiles would silently
+        describe only its first ``_SAMPLE_CAP`` observations. A
+        single-sample series returns that sample for every fraction."""
         if not self.samples:
             raise ValueError(
                 f"percentile({fraction}) of empty histogram "
                 f"{self.name!r}: no samples recorded"
             )
-        if len(self.samples) == 1:
-            return self.samples[0]
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-        return ordered[index]
+        if self.count > len(self.samples):
+            raise ValueError(
+                f"percentile({fraction}) of histogram {self.name!r}: only "
+                f"the first {len(self.samples)} of {self.count} "
+                f"observations were retained"
+            )
+        return nearest_rank(sorted(self.samples), fraction)
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -493,18 +493,13 @@ class TestPredictionSupersetsRuntime:
         ids=[f"{a}-{f}-{t}" for a, f, t in _all_pairs()],
     )
     def test_predicted_restricted_superset(self, app, from_version, to_version):
-        from repro.apps.registry import APPS
         from repro.dsu.safepoint import (
             observed_restriction_keys,
             resolve_restricted,
         )
         from repro.harness.updates import AppDriver
 
-        info = APPS[app]
-        driver = AppDriver(
-            app, info.versions, info.main_class,
-            transformer_overrides=info.transformer_overrides,
-        )
+        driver = AppDriver.for_app(app)
         driver.boot(from_version)
         prepared = driver.prepare_pair(from_version, to_version)
         report = analyze_update(driver.classfiles(from_version), prepared)
@@ -540,11 +535,7 @@ class TestPredictionSupersetsRuntime:
         flagged_default = set()  # default pass (osrmap pass on)
         rescued = set()          # fully-planned osrmap verdicts
         for app in APPS:
-            info = APPS[app]
-            driver = AppDriver(
-                app, info.versions, info.main_class,
-                transformer_overrides=info.transformer_overrides,
-            )
+            driver = AppDriver.for_app(app)
             for from_version, to_version in update_pairs(app):
                 prepared = driver.prepare_pair(from_version, to_version)
                 fidelity = analyze_update(

@@ -198,11 +198,7 @@ class Main { static void main() { Sys.print("" + Work.count(3)); } }
 
 
 def _bundled_verdict(app, from_version, to_version):
-    info = APPS[app]
-    driver = AppDriver(
-        app, info.versions, info.main_class,
-        transformer_overrides=info.transformer_overrides,
-    )
+    driver = AppDriver.for_app(app)
     prepared = driver.prepare_pair(from_version, to_version)
     return classify_update(driver.classfiles(from_version), prepared)
 

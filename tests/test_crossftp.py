@@ -3,17 +3,13 @@
 
 import pytest
 
-from repro.apps.crossftp.versions import MAIN_CLASS, TRANSFORMER_OVERRIDES, VERSIONS
-from repro.harness.updates import AppDriver
+from repro.harness.updates import AppDriver, harness_policy
 from repro.net.ftpclient import browse_script, long_session_script, upload_script
 from repro.net.loadgen import ScriptedSession
 
 
 def make_driver():
-    return AppDriver(
-        "crossftp", VERSIONS, MAIN_CLASS,
-        transformer_overrides=TRANSFORMER_OVERRIDES,
-    )
+    return AppDriver.for_app("crossftp")
 
 
 class TestProtocol:
@@ -129,7 +125,7 @@ class TestUpdates:
             driver.vm, 2121, long_session_script(noops=400), poll_ms=5.0,
             timeout_ms=20_000,
         ).start(20)
-        holder = driver.request_update_at(100, "1.08", timeout_ms=800)
+        holder = driver.request_update_at(100, "1.08", harness_policy(800))
         driver.run(until_ms=6_000)
         result = holder["result"]
         assert result.status == "aborted"
@@ -140,7 +136,7 @@ class TestUpdates:
         driver = make_driver().boot("1.07")
         # Generate some transfers first so TransferLog has state to fold.
         session = ScriptedSession(driver.vm, 2121, browse_script()).start(20)
-        holder = driver.request_update_at(500, "1.08", timeout_ms=2_000)
+        holder = driver.request_update_at(500, "1.08", harness_policy(2_000))
         after = ScriptedSession(driver.vm, 2121, browse_script()).start(900)
         driver.run(until_ms=4_000)
         result = holder["result"]
@@ -162,7 +158,7 @@ class TestUpdates:
             driver.vm, 2121, long_session_script(noops=40), poll_ms=10.0,
             timeout_ms=20_000,
         ).start(20)
-        holder = driver.request_update_at(100, "1.06", timeout_ms=5_000)
+        holder = driver.request_update_at(100, "1.06", harness_policy(5_000))
         driver.run(until_ms=8_000)
         result = holder["result"]
         assert result.succeeded, result.reason
@@ -184,7 +180,7 @@ class TestUpdates:
             driver.vm, 2121, long_session_script(noops=60), poll_ms=10.0,
             timeout_ms=20_000,
         ).start(20)
-        holder = driver.request_update_at(200, "1.07", timeout_ms=5_000)
+        holder = driver.request_update_at(200, "1.07", harness_policy(5_000))
         driver.run(until_ms=8_000)
         result = holder["result"]
         assert result.succeeded, result.reason

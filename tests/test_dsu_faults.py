@@ -299,18 +299,18 @@ class TestTransformerFaults:
 
 class TestServerSurvivesInjectedAbort:
     def test_jetty_keeps_serving_after_mid_install_abort(self):
-        from repro.apps.jetty.versions import HTTP_PORT, MAIN_CLASS, VERSIONS
-        from repro.harness.updates import AppDriver
+        from repro.apps.jetty.versions import HTTP_PORT
+        from repro.harness.updates import AppDriver, harness_policy
         from repro.net.httpclient import HttpConnectionClient
 
-        driver = AppDriver("jetty", VERSIONS, MAIN_CLASS).boot("5.1.1")
+        driver = AppDriver.for_app("jetty").boot("5.1.1")
         driver.engine.fault_injector = FaultInjector(
             FaultPlan(classload_fail_after=0)
         )
         before = HttpConnectionClient(
             driver.vm, HTTP_PORT, "/file.bin", 2
         ).start(50)
-        holder = driver.request_update_at(300, "5.1.2", timeout_ms=3_000)
+        holder = driver.request_update_at(300, "5.1.2", harness_policy(3_000))
         driver.run(until_ms=4_000)
         result = holder["result"]
         assert result.status == "aborted"

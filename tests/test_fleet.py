@@ -15,7 +15,7 @@ from repro.fleet import (
     RolloutPolicy,
     STATE_SERVING,
 )
-from repro.fleet.member import app_classfiles
+from repro.harness.updates import AppDriver
 from tests.dsu_helpers import UpdateFixture
 from tests.test_dsu_faults import pool_fields
 from tests.test_gc_extras import UPDATE_V1, UPDATE_V2
@@ -39,11 +39,12 @@ class TestFleetBasics:
             FleetController("jetty", "5.1.0", size=1)
 
     def test_members_share_compiled_classfiles(self):
-        # Compilation is memoized per (app, version): booting N members
-        # must reuse the same classfile dict, not recompile.
-        assert app_classfiles("jetty", "5.1.0") is app_classfiles(
-            "jetty", "5.1.0"
+        # Compilation is memoized process-wide: booting N members must
+        # reuse the same classfile dict, not recompile.
+        first, second = (
+            AppDriver.for_app("jetty").classfiles("5.1.0") for _ in range(2)
         )
+        assert first is second
 
     def test_fleet_serves_traffic_in_lockstep(self):
         controller = warm_traffic(make_fleet())

@@ -274,3 +274,148 @@ class TestEnduranceHarness:
         row.session_failure_kinds = []
         row.pause_ms = 0.1
         assert any("pause" in p for p in row.problems())
+
+
+# ---------------------------------------------------------------------------
+# the shared experiment path: one session primitive, two named default
+# policies, one command-line registration and one artifact tail
+
+
+class TestSessionPrimitive:
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("app", list(APPS))
+    def test_session_succeeds_against_the_newest_release(self, app, index):
+        from repro.apps.sessions import open_session
+        from repro.harness.updates import AppDriver
+
+        driver = AppDriver.for_app(app).boot(list(APPS[app].versions)[-1])
+        session = open_session(driver.vm, app, index, 60.0, name="probe")
+        driver.run(until_ms=1_500)
+        assert session.succeeded, session.failed
+        if app == "javaemail":
+            protocol = "smtp" if index % 2 == 0 else "pop3"
+            assert session.name == f"probe-{protocol}-{index}"
+
+    def test_compile_memo_is_shared_but_keyed_on_the_source(self):
+        from repro.harness.microbench import MICRO_V1, MICRO_V2
+        from repro.harness.updates import AppDriver
+
+        def driver(source):
+            return AppDriver("memo-probe", {"1.0": source}, "Main")
+
+        assert driver(MICRO_V1).classfiles("1.0") is driver(MICRO_V1).classfiles("1.0")
+        # Same app name and version label, different program: no aliasing.
+        changed = driver(MICRO_V2).classfiles("1.0")
+        assert changed is not driver(MICRO_V1).classfiles("1.0")
+        assert len(changed["Change"].fields) == 7
+
+
+class TestDefaultPolicies:
+    """The harnesses and the fleet deliberately run different defaults;
+    swapping one for the other flips 2 of the 22 outcomes."""
+
+    def test_harness_default_is_the_paper_policy_plus_osr_rescue(self):
+        from repro.dsu.policy import UpdatePolicy
+        from repro.dsu.safepoint import RetryPolicy
+        from repro.harness.updates import harness_policy
+
+        assert harness_policy() == UpdatePolicy(
+            retry=RetryPolicy(timeout_ms=15_000.0, retries=0, backoff=2.0),
+            lint="off", bypass="off", inloop_osr="auto", transform="eager",
+            hold_transaction=False, heap_grow=False,
+        )
+        lazy = harness_policy(400.0, transform="lazy")
+        assert (lazy.retry.timeout_ms, lazy.transform) == (400.0, "lazy")
+        assert harness_policy(inloop_osr="off").inloop_osr == "off"
+
+    def test_fleet_default_has_no_rescue_and_holds_only_the_canary(self):
+        from repro.fleet import RolloutPolicy
+
+        rollout = RolloutPolicy()
+        member, canary = rollout.update_policy(), rollout.update_policy(canary=True)
+        assert member.inloop_osr == "off" and canary.inloop_osr == "off"
+        assert not member.hold_transaction and canary.hold_transaction
+        assert member.retry.timeout_ms == rollout.update_timeout_ms
+        assert member.retry.retries == rollout.update_retries
+        assert (member.bypass, member.transform) == ("off", "eager")
+
+
+def _harness_entry_points(name):
+    """Both spellings of one harness: ``repro <name> ...`` and
+    ``python -m repro.harness.<name> ...``."""
+    import importlib
+
+    from repro.cli import main as cli_main
+
+    module = importlib.import_module(f"repro.harness.{name}")
+    return {
+        "cli": lambda argv: cli_main([name] + argv),
+        "module": module.main,
+    }
+
+
+class TestHarnessCommandLine:
+    @pytest.mark.parametrize("spelling", ["cli", "module"])
+    @pytest.mark.parametrize("name,argv,title", [
+        ("fleet", ["--members", "2", "--updates", "1", "--no-scenarios"],
+         "fleet-rolling-updates"),
+        ("endurance", ["--app", "crossftp"], "endurance"),
+        # not --quick: its 16x size range cannot meet the >= 50x eager-growth
+        # gate, so `--quick --check` fails by construction
+        ("lazyheap", ["--sizes", "200,16000", "--no-differential"],
+         "lazy-transformation"),
+    ])
+    def test_smallest_run_writes_a_clean_artifact(
+        self, name, argv, title, spelling, tmp_path, capsys
+    ):
+        import json
+
+        out = tmp_path / f"{name}.json"
+        run = _harness_entry_points(name)[spelling]
+        assert run(argv + ["--check", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("}\n")
+        report = json.loads(text)
+        assert report["benchmark"] == title
+        assert report["clock"] == "simulated"
+        assert not report["problems"]
+        assert f"wrote {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["cli", "module"])
+    @pytest.mark.parametrize("name,argv,complaint", [
+        ("fleet", ["--members", "1"], "at least 2 members"),
+        ("fleet", ["--members", "many"], "--members"),
+        ("lazyheap", ["--sizes", "1k"], "comma-separated object counts"),
+        ("endurance", ["--app", "nope"], "invalid choice"),
+    ])
+    def test_bad_input_is_a_usage_error_not_a_traceback(
+        self, name, argv, complaint, spelling, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            _harness_entry_points(name)[spelling](argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and complaint in err
+
+    def test_check_gate_fails_with_the_harness_prefix(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.harness import endurance
+
+        bad_row = endurance.TransitionRow(
+            app="jetty", from_version="5.1.0", to_version="5.1.1",
+            status="applied", mode="bypass", bc_verdict="bypass-eligible",
+            pause_ms=0.25, safepoint_rounds=0, stale_frames=0,
+            objects_transformed=0,
+        )
+        monkeypatch.setattr(
+            endurance, "run_endurance", lambda app, **kwargs: [bad_row]
+        )
+        out = tmp_path / "endurance.json"
+        argv = ["--app", "jetty", "--out", str(out)]
+        assert endurance.main(argv) == 0  # problems only gate under --check
+        capsys.readouterr()
+        assert endurance.main(argv + ["--check"]) == 1
+        err = capsys.readouterr().err
+        assert "ENDURANCE jetty 5.1.0->5.1.1: bypass update reports" in err
+        assert out.read_text(encoding="utf-8").endswith("}\n")

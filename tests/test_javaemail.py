@@ -3,24 +3,15 @@
 
 import pytest
 
-from repro.apps.javaemail.versions import (
-    MAIN_CLASS,
-    POP3_PORT,
-    SMTP_PORT,
-    TRANSFORMER_OVERRIDES,
-    VERSIONS,
-)
-from repro.harness.updates import AppDriver
+from repro.apps.javaemail.versions import POP3_PORT, SMTP_PORT, VERSIONS
+from repro.harness.updates import AppDriver, harness_policy
 from repro.net.loadgen import ScriptedSession
 from repro.net.popclient import fetch_script, stat_script
 from repro.net.smtpclient import send_mail_script
 
 
 def make_driver():
-    return AppDriver(
-        "javaemail", VERSIONS, MAIN_CLASS,
-        transformer_overrides=TRANSFORMER_OVERRIDES,
-    )
+    return AppDriver.for_app("javaemail")
 
 
 def send_and_fetch(driver, recipient="alice@example.org", pop_user="alice",
@@ -106,8 +97,10 @@ class TestUpdates:
         driver = make_driver().boot(from_version)
         # light traffic before the update
         smtp, pop = send_and_fetch(driver)
-        holder = driver.request_update_at(request_at, to_version, timeout_ms,
-                                          inloop_osr=inloop_osr)
+        holder = driver.request_update_at(
+            request_at, to_version,
+            harness_policy(timeout_ms, inloop_osr=inloop_osr),
+        )
         driver.run(until_ms=until_ms)
         return driver, holder["result"], (smtp, pop)
 

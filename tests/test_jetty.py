@@ -3,13 +3,13 @@ paper's §4.2 update narrative (all updates apply except 5.1.3)."""
 
 import pytest
 
-from repro.apps.jetty.versions import HTTP_PORT, MAIN_CLASS, VERSIONS
-from repro.harness.updates import AppDriver
+from repro.apps.jetty.versions import HTTP_PORT, VERSIONS
+from repro.harness.updates import AppDriver, harness_policy
 from repro.net.httpclient import HttpConnectionClient, HttperfLoad
 
 
 def make_driver(**kwargs):
-    return AppDriver("jetty", VERSIONS, MAIN_CLASS, **kwargs)
+    return AppDriver.for_app("jetty", **kwargs)
 
 
 class TestHttpServing:
@@ -85,8 +85,10 @@ class TestUpdates:
                     HttpConnectionClient(driver.vm, HTTP_PORT, "/file.bin", 3)
                     .start(50 + 120 * i)
                 )
-        holder = driver.request_update_at(request_at, to_version, timeout_ms,
-                                          inloop_osr=inloop_osr)
+        holder = driver.request_update_at(
+            request_at, to_version,
+            harness_policy(timeout_ms, inloop_osr=inloop_osr),
+        )
         driver.run(until_ms=until_ms)
         return driver, holder["result"], clients
 

@@ -201,6 +201,32 @@ class TestMetrics:
         with pytest.raises(ValueError, match="empty"):
             Metrics().histogram("empty").percentile(0.99)
 
+    def test_percentile_past_the_sample_cap_raises_instead_of_biasing(self):
+        # Ascending observations: a percentile over the retained prefix
+        # would report ~cap/2 as the median of a series whose median is
+        # ~(cap + 100)/2 — silently wrong, so it must refuse by name.
+        from repro.obs.metrics import _SAMPLE_CAP
+
+        histogram = Metrics().histogram("long_series")
+        for value in range(_SAMPLE_CAP):
+            histogram.observe(float(value))
+        assert histogram.percentile(0.5) == _SAMPLE_CAP // 2  # at the cap: exact
+        for value in range(_SAMPLE_CAP, _SAMPLE_CAP + 100):
+            histogram.observe(float(value))
+        assert histogram.count == _SAMPLE_CAP + 100  # summary stays exact
+        assert histogram.max == _SAMPLE_CAP + 99
+        with pytest.raises(ValueError, match="long_series"):
+            histogram.percentile(0.5)
+
+    def test_nearest_rank_is_the_one_percentile_rule(self):
+        from repro.obs.metrics import nearest_rank
+
+        ordered = [float(value) for value in range(1, 101)]
+        assert nearest_rank(ordered, 0.25) == 26.0
+        assert nearest_rank(ordered, 0.5) == 51.0
+        assert nearest_rank(ordered, 1.0) == 100.0  # clamped to the max
+        assert nearest_rank([7.0], 0.99) == 7.0
+
 
 # ---------------------------------------------------------------------------
 # PhaseTimer tolerance (mismatched / nested start-stop pairs)
@@ -457,7 +483,7 @@ class TestFacade:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            row = measure_pause("crossftp", "1.07", "1.08")
+            row, _ = measure_pause("crossftp", "1.07", "1.08")
         assert row.status == "applied"
 
     def test_update_request_validates_lint_mode(self):

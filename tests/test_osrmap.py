@@ -25,7 +25,6 @@ from repro.analysis.report import (
     CODE_OSR_STACK,
     CODE_OSR_UNSUPPORTED,
 )
-from repro.apps.registry import APPS
 from repro.compiler.compile import compile_source
 from repro.dsu.upt import prepare_update
 from repro.harness.updates import AppDriver
@@ -52,11 +51,7 @@ def plans_for(v1_source, v2_source):
 
 
 def app_plans(app, from_version, to_version):
-    info = APPS[app]
-    driver = AppDriver(
-        app, info.versions, info.main_class,
-        transformer_overrides=info.transformer_overrides,
-    )
+    driver = AppDriver.for_app(app)
     prepared = driver.prepare_pair(from_version, to_version)
     return compute_osr_plans(driver.classfiles(from_version), prepared)
 
@@ -253,11 +248,7 @@ class TestRealUpdates:
         assert not report.fully_planned
 
     def test_analyze_update_threads_the_report(self):
-        info = APPS["jetty"]
-        driver = AppDriver(
-            "jetty", info.versions, info.main_class,
-            transformer_overrides=info.transformer_overrides,
-        )
+        driver = AppDriver.for_app("jetty")
         prepared = driver.prepare_pair("5.1.2", "5.1.3")
         report = analyze_update(driver.classfiles("5.1.2"), prepared)
         assert report.osr_plans is not None
