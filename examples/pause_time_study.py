@@ -24,9 +24,9 @@ def main() -> None:
     results = [run_microbench(num_objects, f) for f in fractions]
 
     print()
-    print(render_figure6(results, num_objects))
+    print(render_figure6(results))
     print()
-    print(figure6_chart(results, num_objects))
+    print(figure6_chart(results))
     print()
 
     base = results[0]

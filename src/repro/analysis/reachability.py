@@ -155,6 +155,11 @@ def check_reachability(
     def depth_of(key: MethodKey) -> int:
         return depths.get(key, 1 << 30)
 
+    def by_depth(key: MethodKey):
+        # ties on the method key, so set iteration order never reaches
+        # the diagnostics (or `dsu-lint --json`)
+        return depth_of(key), key
+
     def plan_for(key: MethodKey):
         if osr_plans is None:
             return None
@@ -174,7 +179,7 @@ def check_reachability(
     # remap, in which case the engine rescues the live frame in place.
     hard_stuck = sorted(
         (k for k in closure.hard if k in culprits and k not in mapped),
-        key=depth_of,
+        key=by_depth,
     )
     for key in hard_stuck:
         culprit = culprits[key]
@@ -231,7 +236,7 @@ def check_reachability(
     # "nearly always on stack" (the paper's Jetty acceptSocket case). An
     # indefinitely-blocking one (accept) with a verified plan is rescued
     # the same way as a spinning loop.
-    for key in sorted(closure.hard - set(hard_stuck), key=depth_of):
+    for key in sorted(closure.hard - set(hard_stuck), key=by_depth):
         natives = blocking_native_calls(graph, key)
         if natives and key not in mapped:
             plan = plan_for(key)
@@ -261,7 +266,7 @@ def check_reachability(
     # category-2 method is survivable — unless the adaptive system has
     # promoted it to the opt tier by the time the update arrives.
     for key in sorted(
-        (k for k in closure.recompile if k in culprits), key=depth_of
+        (k for k in closure.recompile if k in culprits), key=by_depth
     ):
         diagnostics.append(
             Diagnostic(

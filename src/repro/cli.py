@@ -19,13 +19,14 @@ from .compiler.compile import compile_source
 from .bytecode.disassembler import disassemble_class
 from .dsu.engine import UpdateEngine, UpdateRequest
 from .dsu.upt import diff_programs, prepare_update
-from .harness import endurance, fleet, lazyheap
+from .harness import endurance, fleet, lazyheap, pauses, report
 from .vm.vm import VM
 
 #: harness subcommands: each module declares its own flags
 #: (``add_arguments``) and runs from the parsed namespace (``run``)
 HARNESS_COMMANDS = (
     ("fleet", fleet), ("endurance", endurance), ("lazyheap", lazyheap),
+    ("pauses", pauses), ("report", report),
 )
 
 
@@ -185,7 +186,6 @@ def cmd_update(args) -> int:
 def cmd_trace(args) -> int:
     """Run one bundled update under light load and export its span tree."""
     from .apps.registry import APPS, update_pairs
-    from .harness.pauses import measure_pause, render_pause_table
     from .obs.export import render_span_tree
 
     if args.app not in APPS:
@@ -199,12 +199,12 @@ def cmd_trace(args) -> int:
               f"(choose from {pairs})", file=sys.stderr)
         return 2
     out = args.trace_out or f"{args.app}-{from_version}-{to_version}.trace.json"
-    row, vm = measure_pause(
+    row, vm = pauses.measure_pause(
         args.app, from_version, to_version,
         request_at_ms=args.at, timeout_ms=args.timeout_ms,
         until_ms=args.until_ms, trace_out=out,
     )
-    print(render_pause_table([row]))
+    print(pauses.render_pause_table([row]))
     if args.spans:
         print()
         print(render_span_tree(vm.tracer, min_duration_ms=args.min_span_ms))

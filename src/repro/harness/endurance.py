@@ -43,7 +43,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..apps.registry import (
     APPS,
@@ -55,7 +55,7 @@ from ..apps.sessions import open_session
 from ..net.loadgen import FAILURE_PROTOCOL
 from ..obs.metrics import nearest_rank
 from ..vm.vm import VM
-from .updates import AppDriver, finish_run, harness_policy
+from .updates import AppDriver, finish_run, harness_main, harness_policy
 
 #: traffic shape around each transition (simulated ms)
 _SESSION_INTERVAL_MS = 90.0
@@ -334,13 +334,5 @@ def run(args: argparse.Namespace) -> int:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.endurance", description=__doc__.split("\n\n")[0]
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(harness_main(sys.modules[__name__]))

@@ -38,7 +38,7 @@ from ..fleet import (
     RolloutPolicy,
     RolloutReport,
 )
-from .updates import finish_run
+from .updates import finish_run, harness_main
 
 #: updates whose rollout is expected to halt (the paper's two §4 aborts)
 EXPECTED_HALTS = {("jetty", "5.1.2", "5.1.3"), ("javaemail", "1.2.4", "1.3")}
@@ -416,13 +416,5 @@ def run(args: argparse.Namespace) -> int:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.fleet", description=__doc__.split("\n\n")[0]
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(harness_main(sys.modules[__name__]))

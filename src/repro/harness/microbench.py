@@ -23,8 +23,9 @@ from ..apps.sessions import open_session
 from ..dsu.engine import UpdateRequest, UpdateResult
 from ..dsu.policy import UpdatePolicy
 from ..dsu.safepoint import RetryPolicy
+from ..vm.clock import CostModel
 from ..vm.vm import VM
-from .updates import AppDriver, harness_policy, run_update
+from .updates import AppDriver, Figure, failed, harness_policy, run_update
 
 MICRO_V1 = """
 class Change {
@@ -65,11 +66,6 @@ MICRO_V2 = MICRO_V1.replace(
 
 #: cells per microbenchmark object (header 2 + 6 fields)
 OBJECT_CELLS = 8
-
-#: default scaled-down sweep (paper: 280k/770k/1.76M/3.67M objects in
-#: 160/320/640/1280 MB heaps; divide by ~70)
-DEFAULT_OBJECT_COUNTS = (4_000, 11_000, 25_000, 52_000)
-DEFAULT_FRACTIONS = tuple(i / 10 for i in range(11))
 
 #: the paper's heap-size label for each scaled object count
 PAPER_HEAP_LABELS = {
@@ -131,6 +127,20 @@ def populate(vm: VM, num_objects: int, fraction: float) -> int:
     return num_change
 
 
+def boot_micro(
+    num_objects: int, fraction: float, heap_cells: int, costs=None
+) -> AppDriver:
+    """Boot the microbenchmark program on a ``heap_cells`` heap holding
+    ``num_objects`` objects, ``fraction`` of them ``Change`` instances."""
+    driver = AppDriver(
+        "micro", {"micro1": MICRO_V1, "micro2": MICRO_V2}, "Main",
+        heap_cells=heap_cells, costs=costs,
+    ).boot("micro1")
+    driver.run(max_instructions=10_000)  # main returns immediately
+    populate(driver.vm, num_objects, fraction)
+    return driver
+
+
 def apply_micro_update(
     num_objects: int,
     fraction: float,
@@ -138,18 +148,9 @@ def apply_micro_update(
     heap_cells: int,
     costs=None,
 ) -> Tuple[AppDriver, UpdateResult]:
-    """Boot the microbenchmark program on a ``heap_cells`` heap holding
-    ``num_objects`` objects (``fraction`` of them ``Change`` instances) and
-    apply the micro1 -> micro2 update under ``policy``; raises unless it
-    applies."""
-    driver = AppDriver(
-        "micro", {"micro1": MICRO_V1, "micro2": MICRO_V2}, "Main",
-        heap_cells=heap_cells, costs=costs,
-    ).boot("micro1")
-    driver.run(max_instructions=10_000)  # main returns immediately
-
-    populate(driver.vm, num_objects, fraction)
-
+    """Apply the micro1 -> micro2 update to a :func:`boot_micro` heap under
+    ``policy``; raises unless it applies."""
+    driver = boot_micro(num_objects, fraction, heap_cells, costs)
     result = driver.engine.submit(
         UpdateRequest(driver.prepare("micro2"), policy=policy)
     )
@@ -185,8 +186,7 @@ def run_microbench(
 
 
 def sweep(
-    object_counts: Sequence[int] = DEFAULT_OBJECT_COUNTS,
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
+    object_counts: Sequence[int], fractions: Sequence[float]
 ) -> List[MicrobenchResult]:
     """The full Table-1 grid."""
     results = []
@@ -194,6 +194,83 @@ def sweep(
         for fraction in fractions:
             results.append(run_microbench(count, fraction))
     return results
+
+
+def pause_breakdown_figure(num_objects: int) -> Figure:
+    """§4.1 (E7): suspending threads and checking the safe point takes
+    under a millisecond, classloading under 20 ms; "the update disruption
+    time is primarily due to the GC and object transformers"."""
+    r = run_microbench(num_objects, 0.5)
+    suspend = r.total_pause_ms - r.gc_ms - r.transform_ms - r.classload_ms
+    text = "\n".join([
+        "Update pause breakdown (simulated ms)",
+        f"  suspend+osr+cleanup: {suspend:8.3f}   (paper: < 1 ms)",
+        f"  classloading:        {r.classload_ms:8.3f}   (paper: < 20 ms)",
+        f"  garbage collection:  {r.gc_ms:8.3f}",
+        f"  transformers:        {r.transform_ms:8.3f}",
+        f"  total:               {r.total_pause_ms:8.3f}",
+    ])
+    return text, failed([
+        (suspend < 1.0, "suspend+osr+cleanup is not sub-millisecond"),
+        (r.classload_ms < 20.0, "classloading is not under 20 ms"),
+        (r.gc_ms + r.transform_ms > 0.8 * r.total_pause_ms,
+         "GC + transformers are under 80% of the pause"),
+    ])
+
+
+def ablation_transformer_cost_figure(num_objects: int) -> Figure:
+    """§4.1 (E8): "The cost of reflection could be reduced by caching the
+    lookup, but even then a naively compiled field-by-field copy is much
+    slower than the collector's highly-optimized copying loop." The
+    100%-updated heap, with and without the reflective dispatch and
+    per-field charges."""
+    reflective = run_microbench(num_objects, 1.0).transform_ms
+    optimized = run_microbench(
+        num_objects, 1.0,
+        costs=CostModel(transform_dispatch=0, transform_field=0),
+    ).transform_ms
+    saved = reflective - optimized
+    text = "\n".join([
+        "Ablation: reflective vs optimized transformer dispatch (100% updated)",
+        f"  reflective transformer time: {reflective:8.2f} ms",
+        f"  optimized transformer time:  {optimized:8.2f} ms",
+        f"  reflection overhead:         {saved:8.2f} ms "
+        f"({saved / reflective:.0%} of transformer time)",
+    ])
+    return text, failed([
+        (0.1 < optimized < reflective,
+         "free dispatch did not speed transformers up, or made them free"),
+    ])
+
+
+def ablation_old_copy_space_figure(num_objects: int) -> Figure:
+    """§3.4 (E8): old copies are garbage after the update; "If we put them
+    in a special space, we could reclaim them immediately." Post-update
+    heap headroom, both ways."""
+
+    def free_cells_after_update(eager: bool) -> int:
+        driver = boot_micro(num_objects, 1.0, heap_cells_for(num_objects))
+        driver.engine.eager_old_copy_reclaim = eager
+        result = driver.engine.submit(UpdateRequest(driver.prepare("micro2")))
+        driver.run(max_instructions=100_000_000)
+        if not result.succeeded:
+            raise RuntimeError(f"old-copy ablation update: {result.reason}")
+        return driver.vm.heap.free_cells
+
+    lazy_free = free_cells_after_update(False)
+    eager_free = free_cells_after_update(True)
+    reclaimed = eager_free - lazy_free
+    text = "\n".join([
+        "Ablation: eager old-copy reclamation (special space) vs lazy (§3.4)",
+        f"  free cells after update, lazy (wait for next GC): {lazy_free:>10d}",
+        f"  free cells after update, eager (special space):   {eager_free:>10d}",
+        f"  headroom recovered immediately: {reclaimed} cells "
+        f"(~{reclaimed // OBJECT_CELLS} old copies)",
+    ])
+    return text, failed([
+        (reclaimed >= num_objects * OBJECT_CELLS,
+         "not every old copy came back immediately"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +372,32 @@ def render_safepoint_acquisition(
             f"{'applied' if r.succeeded else 'aborted':>8s}"
         )
     return "\n".join(lines)
+
+
+def safepoint_acquisition_figure() -> Figure:
+    """The minimizer's runtime payoff: on the paper's Figure-3 update
+    (JavaEmailServer 1.3.1 -> 1.3.2) the unminimized set forces OSR of all
+    three live processor/sender loops; minimization proves the two processor
+    loops' baked ``User`` offsets stable, leaving only ``SMTPSender.run``."""
+    updates = (("javaemail", "1.3.1", "1.3.2"), ("jetty", "5.1.3", "5.1.4"))
+    pairs = [  # (minimizer off, minimizer on) per update
+        tuple(run_safepoint_acquisition_bench(*update, minimize=minimize)
+              for minimize in (False, True))
+        for update in updates
+    ]
+    checks = [(
+        tuple(r.osr_frames for r in pairs[0]) == (3, 1),
+        "javaemail 1.3.1->1.3.2 does not go from 3 OSR frames to 1",
+    )]
+    for off, on in pairs:
+        update = f"{on.app} {on.from_version}->{on.to_version}"
+        checks += [
+            (off.succeeded and on.succeeded, f"{update}: did not apply"),
+            (on.restricted_size < off.restricted_size,
+             f"{update}: minimization did not shrink the restricted set"),
+            (on.rounds <= off.rounds and on.osr_frames <= off.osr_frames
+             and on.wait_ms <= off.wait_ms,
+             f"{update}: minimization made the safe point harder to reach"),
+        ]
+    results = [result for pair in pairs for result in pair]
+    return render_safepoint_acquisition(results), failed(checks)

@@ -27,7 +27,15 @@ from typing import Dict, List, Optional, Tuple
 from ..apps.registry import APPS, update_pairs
 from ..obs.export import write_chrome_trace
 from ..vm.vm import VM
-from .updates import finish_run, harness_policy, light_load, run_update
+from .updates import (
+    Figure,
+    failed,
+    finish_run,
+    harness_main,
+    harness_policy,
+    light_load,
+    run_update,
+)
 
 #: tolerance when comparing simulated-millisecond sums
 _EPS_MS = 1e-6
@@ -194,6 +202,33 @@ def render_pause_table(rows: List[PauseRow]) -> str:
     return "\n".join(lines)
 
 
+def pause_sweep_figure() -> Figure:
+    """All 22 bundled updates x both transform modes (44 rows): every one
+    applies (the in-loop OSR rescue is on), every breakdown and span tree
+    is sound, and the OSR-requiring update shows OSR work inside the pause
+    whether objects transform eagerly or lazily."""
+    rows = run_pause_sweep()
+    unsound = [
+        f"{subject}: {'; '.join(found)}"
+        for subject, found in pause_report(rows)["problems"].items()
+    ]
+    checks = [(len(rows) == 44, f"{len(rows)} rows, not 44")]
+    for mode in ("eager", "lazy"):
+        mode_rows = [row for row in rows if row.transform_mode == mode]
+        applied = sum(1 for row in mode_rows if row.status == "applied")
+        checks += [
+            (len(mode_rows) == applied == 22,
+             f"{applied} of {len(mode_rows)} {mode} updates applied, not "
+             f"22 of 22"),
+            (any(row.osr_frames >= 1 and row.phases.get("osr", 0.0) > 0.0
+                 for row in mode_rows
+                 if (row.app, row.to_version) == ("javaemail", "1.3.2")),
+             f"javaemail 1.3.1->1.3.2 [{mode}] shows no OSR work in its "
+             f"pause"),
+        ]
+    return render_pause_table(rows), unsound + failed(checks)
+
+
 def pause_report(rows: List[PauseRow]) -> dict:
     """The ``BENCH_pauses.json`` payload."""
     return {
@@ -235,13 +270,5 @@ def run(args: argparse.Namespace) -> int:
     return finish_run(pause_report(rows), args.out, args.check, "UNSOUND")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.pauses", description=__doc__.split("\n\n")[0]
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(harness_main(sys.modules[__name__]))

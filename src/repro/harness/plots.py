@@ -50,23 +50,17 @@ def ascii_chart(
     return "\n".join(lines)
 
 
-def figure6_chart(results, num_objects: int) -> str:
-    """The three Figure-6 series as an ASCII chart."""
-    rows = sorted(
-        (r for r in results if r.num_objects == num_objects),
-        key=lambda r: r.fraction,
-    )
-    labels = [f"{int(r.fraction * 10)}" for r in rows]
-    chart = ascii_chart(
+def figure6_chart(rows) -> str:
+    """The three Figure-6 series of one heap as an ASCII chart."""
+    return ascii_chart(
         {
             "total": [r.total_pause_ms for r in rows],
             "gc": [r.gc_ms for r in rows],
             "transform": [r.transform_ms for r in rows],
         },
-        labels,
+        [f"{int(r.fraction * 10)}" for r in rows],
         title=(
             f"pause time (simulated ms) vs fraction updated (x axis: tenths), "
-            f"{num_objects} objects"
+            f"{rows[0].num_objects} objects"
         ),
     )
-    return chart

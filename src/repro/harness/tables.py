@@ -4,14 +4,22 @@ the full experience sweep (every update of every application)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..apps.registry import APPS, expected_outcome, update_pairs
+from ..apps.registry import (
+    APPS,
+    EXPECTED_OSR_RESCUED,
+    expected_outcome,
+    update_pairs,
+)
 from ..dsu.upt import diff_programs
-from .microbench import MicrobenchResult
+from .microbench import MicrobenchResult, run_microbench, sweep
+from .plots import figure6_chart
 from .updates import (
     AppDriver,
     AppUpdateOutcome,
+    Figure,
+    failed,
     harness_policy,
     light_load,
     run_update,
@@ -36,10 +44,7 @@ def render_table1(results: Sequence[MicrobenchResult]) -> str:
     # scaled object counts were swept.
     paper_labels = ["160 MB", "320 MB", "640 MB", "1280 MB"]
     counts = sorted(by_count)
-    labels = {
-        count: (paper_labels[i] if len(counts) <= len(paper_labels) else f"row {i}")
-        for i, count in enumerate(counts)
-    }
+    labels = dict(zip(counts, paper_labels))
     header = "# objects  heap(paper)  " + " ".join(f"{int(f*100):>6d}%" for f in fractions)
 
     def block(title: str, metric) -> List[str]:
@@ -61,14 +66,11 @@ def render_table1(results: Sequence[MicrobenchResult]) -> str:
     return "\n".join(lines)
 
 
-def render_figure6(results: Sequence[MicrobenchResult], num_objects: int) -> str:
-    """Figure 6: the three series for the largest heap, printable."""
-    rows = sorted(
-        (r for r in results if r.num_objects == num_objects),
-        key=lambda r: r.fraction,
-    )
+def render_figure6(rows: Sequence[MicrobenchResult]) -> str:
+    """Figure 6: the three series for one heap (``rows`` in fraction
+    order), printable."""
     lines = [
-        f"Figure 6 — pause times, {num_objects} objects "
+        f"Figure 6 — pause times, {rows[0].num_objects} objects "
         f"({rows[0].paper_heap_label} in the paper)",
         f"{'fraction':>8s} {'gc_ms':>9s} {'transform_ms':>13s} {'total_ms':>9s}",
     ]
@@ -80,8 +82,60 @@ def render_figure6(results: Sequence[MicrobenchResult], num_objects: int) -> str
     return "\n".join(lines)
 
 
+def table1_figure(counts: Sequence[int], fractions: Sequence[float]) -> Figure:
+    """Table 1 (E1). Paper, largest heap, 0% -> 100% updated: GC 615 ->
+    1218 ms, transformers 0 -> 1405 ms, total 619 -> 2628 ms (4.2x)."""
+    results = sweep(counts, fractions)
+    by_key = {(r.num_objects, r.fraction): r for r in results}
+    checks = []
+    for count in counts:
+        base, full = by_key[(count, 0.0)], by_key[(count, 1.0)]
+        checks += [
+            (1.4 <= full.gc_ms / base.gc_ms <= 3.0,
+             f"{count} objects: GC time does not grow 1.4-3.0x (paper ~2x)"),
+            (base.transform_ms < 0.5,
+             f"{count} objects: transformer time with nothing to transform"),
+            (full.transform_ms > full.gc_ms - base.gc_ms,
+             f"{count} objects: transformers cost less than the GC increment"),
+            (3.0 <= full.total_pause_ms / base.total_pause_ms <= 5.5,
+             f"{count} objects: total pause does not grow 3.0-5.5x (paper 4.2x)"),
+        ]
+    for fraction in (0.0, 1.0):
+        totals = [by_key[(c, fraction)].total_pause_ms for c in counts]
+        checks.append((totals == sorted(totals),
+                       f"pause at {fraction:.0%} updated shrinks as the heap grows"))
+    return render_table1(results), failed(checks)
+
+
+def figure6_figure(num_objects: int) -> Figure:
+    """Figure 6 (E1): both cost curves rise with the fraction of updated
+    objects, the transformer curve more steeply than the GC curve."""
+    results = [run_microbench(num_objects, i / 10) for i in range(11)]
+    gc = [r.gc_ms for r in results]
+    transform = [r.transform_ms for r in results]
+    total = [r.total_pause_ms for r in results]
+
+    def rising(series, slack=0.0):
+        return all(b >= a - slack for a, b in zip(series, series[1:]))
+
+    return render_figure6(results) + "\n\n" + figure6_chart(results), failed([
+        (rising(gc, slack=0.2), "GC time falls as more is updated"),
+        (rising(transform), "transformer time falls as more is updated"),
+        (rising(total), "total pause falls as more is updated"),
+        (transform[-1] - transform[0] > gc[-1] - gc[0],
+         "the transformer curve is not steeper than the GC curve"),
+    ])
+
+
 # ---------------------------------------------------------------------------
 # Tables 2-4: per-release change summaries from the UPT
+
+#: releases the paper identifies as supportable by method-body-only systems
+PAPER_BODY_ONLY = {
+    "jetty": {"5.1.1", "5.1.8", "5.1.9", "5.1.10"},
+    "javaemail": {"1.2.2", "1.2.4", "1.3.1"},
+    "crossftp": set(),
+}
 
 
 def update_summary_rows(app: str) -> List[dict]:
@@ -101,9 +155,8 @@ def update_summary_rows(app: str) -> List[dict]:
     return rows
 
 
-def render_update_table(app: str) -> str:
+def render_update_table(app: str, rows: List[dict]) -> str:
     """One of Tables 2-4: change counts per release."""
-    rows = update_summary_rows(app)
     lines = [
         f"Summary of updates to {app}",
         f"{'Ver.':>8s} {'+cls':>5s} {'-cls':>5s} {'~cls':>5s} "
@@ -121,6 +174,21 @@ def render_update_table(app: str) -> str:
             f"{'yes' if row['body_only'] else 'no':>10s}"
         )
     return "\n".join(lines)
+
+
+def update_table_figure(app: str) -> Figure:
+    """Tables 2-4 (E3-E5): which releases are method-body-only (the ones
+    E&C-style systems could support) and which change class signatures."""
+    rows = update_summary_rows(app)
+    body_only = {row["version"] for row in rows if row["body_only"]}
+    checks = [(body_only == PAPER_BODY_ONLY[app],
+               f"method-body-only releases are {sorted(body_only)}")]
+    checks += [
+        (row["classes_added"] or row["classes_deleted"]
+         or row["classes_changed"], f"empty update {row['version']}")
+        for row in rows
+    ]
+    return render_update_table(app, rows), failed(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +332,41 @@ def render_experience_table(outcomes: Sequence[AppUpdateOutcome]) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Figure 5 rendering
+def experience_figure(paper_fidelity: bool = False) -> Figure:
+    """The §4 headline (E6): all 22 land, the paper's two aborts by
+    in-loop OSR; with ``paper_fidelity`` (rescue off) exactly those two
+    abort — the paper's 20 of 22."""
+    outcomes = run_experience_sweep(paper_fidelity=paper_fidelity)
 
+    def updates(selected):
+        return {(o.app, o.from_version, o.to_version) for o in selected}
 
-def render_figure5(summaries) -> str:
-    lines = [
-        "Figure 5 — Jetty 5.1.6 throughput and latency (simulated)",
-        f"{'configuration':>14s} {'tput MB/s (q1..q3)':>24s} {'latency ms (q1..q3)':>24s}",
+    aborted = updates(o for o in outcomes if not o.result.succeeded)
+    rescued = [o for o in outcomes if o.result.osr_rescued]
+    checks = [
+        (len(outcomes) == 22, f"{len(outcomes)} updates ran, not 22"),
+        (not any("MISMATCH" in o.notes for o in outcomes),
+         "an outcome disagrees with the registry's expectation (MISMATCH)"),
     ]
-    for name, s in summaries.items():
-        tput = f"{s.median_throughput:.3f} ({s.throughput_q1:.3f}..{s.throughput_q3:.3f})"
-        lat = f"{s.median_latency:.3f} ({s.latency_q1:.3f}..{s.latency_q3:.3f})"
-        lines.append(f"{name:>14s} {tput:>24s} {lat:>24s}")
-    return "\n".join(lines)
+    if paper_fidelity:
+        checks += [
+            (aborted == EXPECTED_OSR_RESCUED, f"aborted: {sorted(aborted)}"),
+            (not rescued, "in-loop OSR ran with the rescue off"),
+        ]
+    else:
+        body_only = sum(1 for o in outcomes if o.body_only_supported)
+        checks += [
+            (not aborted, f"aborted with the rescue on: {sorted(aborted)}"),
+            (updates(rescued) == EXPECTED_OSR_RESCUED,
+             f"rescued by in-loop OSR: {sorted(updates(rescued))}"),
+            (all(o.result.extended_osr_frames > 0 for o in rescued),
+             "a rescued update remapped no live frame"),
+            ({("javaemail", "1.3.1", "1.3.2"), ("javaemail", "1.3.2", "1.3.3")}
+             <= updates(o for o in outcomes if o.result.used_osr),
+             "OSR not used for javaemail 1.3.2 and 1.3.3 (paper §4.3)"),
+            (5 <= body_only <= 10,
+             f"{body_only} method-body-only updates (paper: 9; expected 5-10)"),
+            (all(o.sessions_failed == 0 for o in outcomes),
+             "a client session failed during an update"),
+        ]
+    return render_experience_table(outcomes), failed(checks)

@@ -8,10 +8,11 @@ and JavaEmailServer 1.3 abort; CrossFTP 1.08 applies only when idle).
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..apps.registry import APPS
 from ..apps.sessions import open_session
@@ -268,6 +269,27 @@ def run_update(
 
 # ---------------------------------------------------------------------------
 # the one harness command line
+
+
+#: what every paper-figure function returns: the rendered artifact and
+#: the ways its shape departs from the paper's (empty = reproduced)
+Figure = Tuple[str, List[str]]
+
+
+def failed(checks) -> List[str]:
+    """A figure's shape gate: the messages of the ``(holds, message)``
+    pairs that do not hold."""
+    return [message for holds, message in checks if not holds]
+
+
+def harness_main(module, argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.harness.<name>``: the flags and ``run`` that
+    ``repro <name>`` registers from ``cli.HARNESS_COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog=module.__spec__.name, description=module.__doc__.split("\n\n")[0]
+    )
+    module.add_arguments(parser)
+    return module.run(parser.parse_args(argv))
 
 
 def finish_run(report: dict, out: str, check: bool, prefix: str) -> int:

@@ -312,6 +312,28 @@ class TestDsuLint:
         assert main(["dsu-lint"]) == 2
         assert "needs either" in capsys.readouterr().err
 
+    def test_json_output_does_not_depend_on_the_hash_seed(self):
+        """Same-depth diagnostics (javaemail's three ``run`` loops) used to
+        come out in set iteration order."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        def lint(hash_seed):
+            env = dict(
+                os.environ, PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            )
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "dsu-lint",
+                 "--app", "javaemail", "--json"],
+                env=env, check=True, capture_output=True, text=True,
+            ).stdout
+
+        assert lint("0") == lint("1")
+
 
 class TestDsuLintMinimization:
     """--explain / --superset-gate / --sizes-out on the semantic-diff

@@ -1,6 +1,8 @@
 """Tests for the experiment harnesses themselves (microbench, jettyperf,
 tables), so the benchmark suite rests on verified plumbing."""
 
+import os
+
 import pytest
 
 from repro.apps.registry import APPS, EXPECTED_OUTCOMES, expected_outcome, update_pairs
@@ -72,7 +74,7 @@ class TestMicrobench:
         text = render_table1(results)
         assert "Garbage collection time" in text
         assert "Total DSU pause time" in text
-        figure = render_figure6(results, 300)
+        figure = render_figure6(results)
         assert "Figure 6" in figure
 
 
@@ -127,7 +129,7 @@ class TestRegistry:
         rows = update_summary_rows("crossftp")
         assert [r["version"] for r in rows] == ["1.06", "1.07", "1.08"]
         assert all("classes_changed" in r for r in rows)
-        text = render_update_table("crossftp")
+        text = render_update_table("crossftp", rows)
         assert "1.08" in text
 
 
@@ -340,17 +342,77 @@ class TestDefaultPolicies:
         assert (member.bypass, member.transform) == ("off", "eager")
 
 
+COMMITTED_RESULTS = os.path.join(
+    os.path.dirname(__file__), "..", "benchmark_results"
+)
+
+
+class TestFigures:
+    """``harness.report.FIGURES`` is the only list of paper artifacts."""
+
+    def test_figures_are_exactly_the_committed_artifacts(self):
+        from repro.harness.report import FIGURES, SCALES
+
+        committed = {
+            name[:-len(".txt")] for name in os.listdir(COMMITTED_RESULTS)
+        } - {"REPORT"}
+        names = [name for name, _, _ in FIGURES]
+        assert len(names) == len(set(names)) == 14
+        assert set(names) == committed
+        for sizes in SCALES.values():
+            assert set(sizes) <= committed
+        # REPORT.txt is the headed figures, in FIGURES order.
+        with open(os.path.join(COMMITTED_RESULTS, "REPORT.txt")) as handle:
+            lines = handle.read().split("\n")
+        rule = "=" * 72
+        sections = [
+            lines[i] for i in range(1, len(lines) - 1)
+            if lines[i - 1] == rule == lines[i + 1]
+        ]
+        assert len(sections) == 8
+        assert sections == [heading for _, heading, _ in FIGURES if heading]
+
+    def test_tables_2_to_4_regenerate_byte_identical(self):
+        from repro.harness.report import FIGURES
+
+        tables = [
+            (name, figure) for name, _, figure in FIGURES
+            if name[:6] in ("table2", "table3", "table4")
+        ]
+        assert len(tables) == 3
+        for name, figure in tables:
+            text, problems = figure()
+            assert problems == []
+            with open(os.path.join(COMMITTED_RESULTS, f"{name}.txt")) as handle:
+                assert handle.read() == text + "\n"
+
+
+    def test_a_figure_reports_the_shape_it_lost(self, monkeypatch):
+        from repro.harness import pauses, tables
+
+        monkeypatch.setitem(tables.PAPER_BODY_ONLY, "crossftp", {"1.07"})
+        _, problems = tables.update_table_figure("crossftp")
+        assert problems == ["method-body-only releases are []"]
+
+        monkeypatch.setattr(pauses, "run_pause_sweep", lambda: [])
+        _, problems = pauses.pause_sweep_figure()
+        assert "0 rows, not 44" in problems
+        assert "0 of 0 lazy updates applied, not 22 of 22" in problems
+        assert len(problems) == 5
+
+
 def _harness_entry_points(name):
     """Both spellings of one harness: ``repro <name> ...`` and
     ``python -m repro.harness.<name> ...``."""
     import importlib
 
     from repro.cli import main as cli_main
+    from repro.harness.updates import harness_main
 
     module = importlib.import_module(f"repro.harness.{name}")
     return {
         "cli": lambda argv: cli_main([name] + argv),
-        "module": module.main,
+        "module": lambda argv: harness_main(module, argv),
     }
 
 
@@ -360,10 +422,7 @@ class TestHarnessCommandLine:
         ("fleet", ["--members", "2", "--updates", "1", "--no-scenarios"],
          "fleet-rolling-updates"),
         ("endurance", ["--app", "crossftp"], "endurance"),
-        # not --quick: its 16x size range cannot meet the >= 50x eager-growth
-        # gate, so `--quick --check` fails by construction
-        ("lazyheap", ["--sizes", "200,16000", "--no-differential"],
-         "lazy-transformation"),
+        ("lazyheap", ["--quick", "--no-differential"], "lazy-transformation"),
     ])
     def test_smallest_run_writes_a_clean_artifact(
         self, name, argv, title, spelling, tmp_path, capsys
@@ -397,6 +456,44 @@ class TestHarnessCommandLine:
         err = capsys.readouterr().err
         assert "error:" in err and complaint in err
 
+    @pytest.mark.parametrize("spelling", ["cli", "module"])
+    def test_report_runs_each_figure_once_and_gates_on_any_problem(
+        self, spelling, tmp_path, capsys, monkeypatch
+    ):
+        from repro.harness import report
+
+        calls = []
+
+        def stub(name, problems):
+            def figure(**sizes):
+                calls.append(name)
+                return f"<{name} {sorted(sizes)}>", problems
+            return figure
+
+        monkeypatch.setattr(report, "FIGURES", tuple(
+            (name, heading, stub(
+                name, ["the curve is flat"] if name == "pause_sweep" else []
+            ))
+            for name, heading, _ in report.FIGURES
+        ))
+        run = _harness_entry_points("report")[spelling]
+        assert run(["--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "FIGURE pause_sweep: the curve is flat\n"
+        names = [name for name, _, _ in report.FIGURES]
+        assert calls == names  # one walk: no second pass for REPORT.txt
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [f"{name}.txt" for name in names] + ["REPORT.txt"]
+        )
+        assert (tmp_path / "table1_microbench.txt").read_text() == (
+            "<table1_microbench ['counts', 'fractions']>\n"
+        )
+        written = (tmp_path / "REPORT.txt").read_text()
+        assert written + "\n" == captured.out
+        assert written.count("=" * 72) == 16
+        assert "<pause_sweep []>" in written
+        assert "ablation" not in written
+
     def test_check_gate_fails_with_the_harness_prefix(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -413,9 +510,10 @@ class TestHarnessCommandLine:
         )
         out = tmp_path / "endurance.json"
         argv = ["--app", "jetty", "--out", str(out)]
-        assert endurance.main(argv) == 0  # problems only gate under --check
+        main = _harness_entry_points("endurance")["module"]
+        assert main(argv) == 0  # problems only gate under --check
         capsys.readouterr()
-        assert endurance.main(argv + ["--check"]) == 1
+        assert main(argv + ["--check"]) == 1
         err = capsys.readouterr().err
         assert "ENDURANCE jetty 5.1.0->5.1.1: bypass update reports" in err
         assert out.read_text(encoding="utf-8").endswith("}\n")
