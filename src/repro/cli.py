@@ -19,15 +19,7 @@ from .compiler.compile import compile_source
 from .bytecode.disassembler import disassemble_class
 from .dsu.engine import UpdateEngine, UpdateRequest
 from .dsu.upt import diff_programs, prepare_update
-from .harness import endurance, fleet, lazyheap, pauses, report
 from .vm.vm import VM
-
-#: harness subcommands: each module declares its own flags
-#: (``add_arguments``) and runs from the parsed namespace (``run``)
-HARNESS_COMMANDS = (
-    ("fleet", fleet), ("endurance", endurance), ("lazyheap", lazyheap),
-    ("pauses", pauses), ("report", report),
-)
 
 
 def _read(path: str) -> str:
@@ -186,6 +178,7 @@ def cmd_update(args) -> int:
 def cmd_trace(args) -> int:
     """Run one bundled update under light load and export its span tree."""
     from .apps.registry import APPS, update_pairs
+    from .harness import pauses
     from .obs.export import render_span_tree
 
     if args.app not in APPS:
@@ -213,6 +206,17 @@ def cmd_trace(args) -> int:
     for problem in row.soundness_problems():
         print(f"[trace] UNSOUND: {problem}", file=sys.stderr)
     return 1 if row.soundness_problems() else 0
+
+
+def cmd_report(args) -> int:
+    """Regenerate every committed artifact; exit 1 on any problem."""
+    from .harness.report import generate_report
+
+    report, problems = generate_report(args.scale, args.out_dir)
+    print(report)
+    for problem in problems:
+        print(f"FIGURE {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def _lint_superset_gate(boot_info, prepared, report):
@@ -655,10 +659,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "after semantic-diff minimization as JSON")
     lint.set_defaults(fn=cmd_dsu_lint)
 
-    for name, module in HARNESS_COMMANDS:
-        harness = sub.add_parser(name, help=module.__doc__.split("\n\n")[0])
-        module.add_arguments(harness)
-        harness.set_defaults(fn=module.run)
+    report = sub.add_parser(
+        "report",
+        help="regenerate every committed artifact in benchmark_results/ "
+             "and exit 1 if any departs from its expected shape",
+    )
+    report.add_argument("--scale", choices=("small", "full"), default="small",
+                        help="'small' produced the committed artifacts; "
+                             "'full' runs the paper figures at larger heaps")
+    report.add_argument("--out-dir", default="benchmark_results")
+    report.set_defaults(fn=cmd_report)
     return parser
 
 

@@ -6,6 +6,7 @@ update transaction; nothing here catches or rolls back.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..bytecode.classfile import CLINIT_NAME, ClassFile
@@ -196,8 +197,11 @@ def retire_old_version(vm: "VM", prepared: PreparedUpdate,
         rvmclass.obsolete = True
         classfile = vm.classfiles.pop(name, None)
         if classfile is not None:
-            classfile.name = new_name
-            vm.classfiles[new_name] = classfile
+            # A renamed copy: the prepared update's own class file stays
+            # applicable to the next VM.
+            rvmclass.classfile = vm.classfiles[new_name] = replace(
+                classfile, name=new_name
+            )
         for entry in vm.methods.all_entries():
             if entry.owner is rvmclass:
                 entry.obsolete = True

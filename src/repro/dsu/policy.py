@@ -22,7 +22,7 @@ from .safepoint import RetryPolicy
 #: allowed values for each mode field, used by validation and the CLI
 LINT_MODES = ("off", "warn", "strict")
 BYPASS_MODES = ("off", "auto", "require")
-INLOOP_OSR_MODES = ("off", "auto", "require")
+INLOOP_OSR_MODES = ("off", "auto")
 TRANSFORM_MODES = ("eager", "lazy")
 
 
@@ -42,8 +42,7 @@ class UpdatePolicy:
         bypass when the verdict allows, ``require`` aborts otherwise.
     ``inloop_osr``
         In-loop OSR rescue of blocking loop frames after the retry
-        budget expires: ``auto`` rescues when a verified plan exists,
-        ``require`` insists on rescue eligibility up front.
+        budget expires: ``auto`` rescues when a verified plan exists.
     ``transform``
         Object transformation strategy. ``eager`` runs the paper's
         stop-the-world update collection; ``lazy`` installs metadata at

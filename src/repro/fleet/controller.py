@@ -44,6 +44,7 @@ from ..dsu.engine import PENDING, UpdateResult
 from ..dsu.faults import FleetFaultInjector
 from ..dsu.policy import UpdatePolicy
 from ..dsu.safepoint import RetryPolicy
+from ..dsu.upt import PreparedUpdate
 from ..obs.metrics import Metrics
 from .balancer import LoadBalancer
 from .health import (
@@ -335,10 +336,13 @@ class FleetController:
     # rolling update
 
     def rolling_update(self, to_version: str) -> RolloutReport:
-        """Drive a canary-first rolling update of the whole fleet. Always
-        returns a report — every failure mode is recorded, none raises."""
+        """Drive a canary-first rolling update of the whole fleet. The
+        update is prepared once per version the members start from, and
+        every member on that version gets the same one. Always returns a
+        report — every failure mode is recorded, none raises."""
         policy = self.rollout_policy
         order = sorted(self.members)
+        prepared: Dict[str, PreparedUpdate] = {}  # from-version -> update
         report = RolloutReport(
             app=self.app,
             from_version=self.members[order[0]].current_version or "",
@@ -358,9 +362,11 @@ class FleetController:
                 row.outcome = "updated"
                 continue
             old_version = member.current_version or ""
+            if old_version not in prepared:
+                prepared[old_version] = member.driver.prepare(to_version)
             self._drain(member, row, report)
             outcome, result = self._update(
-                member, row, to_version, is_canary=row.canary
+                member, row, prepared[old_version], is_canary=row.canary
             )
             if outcome == "crashed":
                 failures += 1
@@ -431,7 +437,7 @@ class FleetController:
             self.metrics.inc("fleet.drain_overruns")
 
     def _update(self, member: FleetMember, row: MemberRollout,
-                to_version: str, is_canary: bool):
+                prepared: PreparedUpdate, is_canary: bool):
         """Run the submit/retry loop; returns (outcome, last_result) with
         outcome in {"applied", "crashed", "exhausted"}."""
         policy = self.rollout_policy
@@ -443,7 +449,7 @@ class FleetController:
                 if self.faults is not None else None
             )
             result = member.submit_update(
-                to_version, update_policy, fault_plan=plan
+                prepared, update_policy, fault_plan=plan
             )
             row.attempts = attempt + 1
             hard_stop = (

@@ -23,6 +23,7 @@ from ..apps.sessions import open_session
 from ..dsu.engine import UpdateEngine, UpdateRequest, UpdateResult
 from ..dsu.faults import FaultInjector, FaultPlan, VMCrash
 from ..dsu.policy import UpdatePolicy
+from ..dsu.upt import PreparedUpdate
 from ..harness.updates import AppDriver
 from ..vm.vm import VM
 
@@ -165,15 +166,16 @@ class FleetMember:
 
     def submit_update(
         self,
-        to_version: str,
+        prepared: PreparedUpdate,
         policy: UpdatePolicy,
         fault_plan: Optional[FaultPlan] = None,
     ) -> UpdateResult:
-        """Submit one update attempt to this member's engine. The result
-        fills in as the controller's slice loop drives the VM."""
+        """Submit one attempt at the rollout's one prepared update to this
+        member's engine. The result fills in as the controller's slice loop
+        drives the VM."""
         self.engine.fault_injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
-        request = UpdateRequest(self.driver.prepare(to_version), policy=policy)
+        request = UpdateRequest(prepared, policy=policy)
         self.state = STATE_UPDATING
         return self.engine.submit(request)

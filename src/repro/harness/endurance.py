@@ -20,28 +20,19 @@ The two §4 aborts (Jetty 5.1.2→5.1.3, JavaEmailServer 1.2.4→1.3) are
 rescued here by the in-loop OSR extension: the engine remaps the
 blocking loop frames onto the new bodies after the retry budget burns
 down, so the long-lived server is updated *in place* — no restart, no
-lost listener state.  Under ``--paper-fidelity`` the rescue is disabled
+lost listener state.  With ``paper_fidelity`` the rescue is disabled
 and they abort the way §4 reports; an operator faced with that verdict
 restarts into the new version, and the harness does the same (a fresh
 VM boots the target version, flagged ``restarted`` on the row) so the
 stream continues on the registry's release ladder and the later
 bypass-eligible updates are measured against their true predecessors.
 
-Artifacts: ``BENCH_endurance.json`` (one row per transition; the CI
-endurance-smoke job uploads it) and a human table via
-:func:`render_endurance_table`.  ``--check`` turns the invariants into
-a gate: every bypass row must show a 0.00 ms pause and zero safe-point
-rounds, exactly the registry's bypass-eligible pairs may take the
-bypass path, exactly the registry's ``EXPECTED_OSR_RESCUED`` pairs may
-take the in-loop OSR path (unless ``--paper-fidelity`` disabled it),
-and no transition may lose a client session to a protocol mismatch
-(the traffic must never observe a half-installed update).
+The ``repro report`` row is :func:`endurance_figure`
+(``BENCH_endurance.json``, one row per transition).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import List
 
@@ -55,13 +46,15 @@ from ..apps.sessions import open_session
 from ..net.loadgen import FAILURE_PROTOCOL
 from ..obs.metrics import nearest_rank
 from ..vm.vm import VM
-from .updates import AppDriver, finish_run, harness_main, harness_policy
+from .updates import AppDriver, Figure, harness_policy, json_figure
 
 #: traffic shape around each transition (simulated ms)
 _SESSION_INTERVAL_MS = 90.0
 _REQUEST_LEAD_MS = 300.0
 _WINDOW_MS = 1_200.0
 _SETTLE_MS = 3_300.0
+#: per-round DSU safe-point window for non-bypass updates
+_TIMEOUT_MS = 1_000.0
 
 
 @dataclass
@@ -91,11 +84,11 @@ class TransitionRow:
     #: True when the in-loop OSR rescue remapped blocking loop frames to
     #: land this update (the server was updated in place, no restart)
     osr_rescued: bool = False
-    #: True when the run disabled the rescue (``--paper-fidelity``)
+    #: True when the run disabled the rescue (``paper_fidelity``)
     paper_fidelity: bool = False
     sessions_completed: int = 0
     sessions_failed: int = 0
-    #: failure kinds of the failed sessions (protocol mismatches gate CI)
+    #: failure kinds of the failed sessions (a protocol mismatch is a problem)
     session_failure_kinds: List[str] = field(default_factory=list)
     latency_p50_ms: float = 0.0
     latency_p95_ms: float = 0.0
@@ -103,7 +96,7 @@ class TransitionRow:
     latency_samples: int = 0
 
     def problems(self) -> List[str]:
-        """The invariants the CI endurance-smoke job enforces."""
+        """The invariants ``BENCH_endurance.json`` gates on."""
         problems = []
         expected = expected_bypass_eligible(
             self.app, self.from_version, self.to_version
@@ -183,17 +176,13 @@ def _latencies(sessions) -> List[float]:
     return values
 
 
-def run_endurance(
-    app: str,
-    timeout_ms: float = 1_000.0,
-    paper_fidelity: bool = False,
-) -> List[TransitionRow]:
+def run_endurance(app: str, paper_fidelity: bool = False) -> List[TransitionRow]:
     """Walk one application's full update stream on a single server.
 
     ``paper_fidelity=True`` disables the in-loop OSR rescue: the two §4
     aborts abort, and the harness restarts onto the target release."""
     policy = harness_policy(
-        timeout_ms, bypass="auto",
+        _TIMEOUT_MS, bypass="auto",
         inloop_osr="off" if paper_fidelity else "auto",
     )
     pairs = update_pairs(app)
@@ -252,39 +241,6 @@ def run_endurance(
     return rows
 
 
-def render_endurance_table(rows: List[TransitionRow]) -> str:
-    bypassed = sum(1 for r in rows if r.mode == "bypass")
-    applied = sum(1 for r in rows if r.status == "applied")
-    rescued = sum(1 for r in rows if r.osr_rescued)
-    rescue_note = (
-        f", {rescued} in place via in-loop OSR" if rescued else ""
-    )
-    lines = [
-        f"Endurance: {applied} of {len(rows)} transitions applied on "
-        f"long-lived servers, {bypassed} via zero-pause immediate bypass"
-        f"{rescue_note}",
-        f"{'app':>10s} {'update':>16s} {'outcome':>8s} {'mode':>9s} "
-        f"{'pause(ms)':>10s} {'rounds':>6s} {'stale':>5s} "
-        f"{'p50':>8s} {'p95':>8s} {'p99':>8s} {'sess':>5s}  notes",
-    ]
-    for row in rows:
-        update = f"{row.from_version}->{row.to_version}"
-        pause = f"{row.pause_ms:.2f}" if row.status == "applied" else "-"
-        notes = row.abort_why
-        if row.restarted:
-            notes += " [restarted]"
-        if row.osr_rescued:
-            notes += " [rescued in place]"
-        lines.append(
-            f"{row.app:>10s} {update:>16s} {row.status:>8s} {row.mode:>9s} "
-            f"{pause:>10s} {row.safepoint_rounds:>6d} {row.stale_frames:>5d} "
-            f"{row.latency_p50_ms:>8.2f} {row.latency_p95_ms:>8.2f} "
-            f"{row.latency_p99_ms:>8.2f} {row.sessions_completed:>5d}  "
-            f"{notes}"
-        )
-    return "\n".join(lines)
-
-
 def endurance_report(rows: List[TransitionRow]) -> dict:
     """The ``BENCH_endurance.json`` payload."""
     return {
@@ -301,38 +257,17 @@ def endurance_report(rows: List[TransitionRow]) -> dict:
     }
 
 
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--app", default=None, choices=tuple(APPS),
-                        help="run one app only (default: all)")
-    parser.add_argument("--out", default="BENCH_endurance.json",
-                        help="where to write the JSON artifact")
-    parser.add_argument("--timeout-ms", type=float, default=1_000.0,
-                        help="per-round DSU safe-point window for "
-                             "non-bypass updates (simulated ms)")
-    parser.add_argument("--paper-fidelity", action="store_true",
-                        help="disable the in-loop OSR rescue: the two §4 "
-                             "aborts abort and the harness restarts onto "
-                             "the target release (the paper's behavior)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero if a bypass transition reports "
-                             "a nonzero pause or any safe-point round, the "
-                             "bypass or OSR-rescued set differs from the "
-                             "registry's, or traffic hit a protocol "
-                             "mismatch")
+def endurance_figure() -> Figure:
+    """``BENCH_endurance.json``: one long-lived server per bundled app
+    survives its entire update stream under continuous traffic, with
+    ``bypass="auto"``.
 
-
-def run(args: argparse.Namespace) -> int:
-    rows: List[TransitionRow] = []
-    for app in [args.app] if args.app else APPS:
-        rows.extend(run_endurance(
-            app, timeout_ms=args.timeout_ms,
-            paper_fidelity=args.paper_fidelity,
-        ))
-    print(render_endurance_table(rows))
-    return finish_run(
-        endurance_report(rows), args.out, args.check, "ENDURANCE"
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(harness_main(sys.modules[__name__]))
+    Its problems fail ``repro report`` if any bypass transition reports a
+    nonzero suspension pause or uses a safe-point round, if the set of
+    bypassed transitions differs from the registry's bypass-eligible set,
+    if any client session hits a protocol mismatch mid-transition, or if
+    the paper's two aborts are not rescued in place (no restart rows;
+    ``EXPECTED_OSR_RESCUED`` drift fails)."""
+    return json_figure(endurance_report(
+        [row for app in APPS for row in run_endurance(app)]
+    ))

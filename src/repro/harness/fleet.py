@@ -14,15 +14,12 @@ A second battery injects every fleet-level fault
 asserts the orchestrator's recovery: crash → restart-on-old-version
 rollback, health regression → snapshot rollback, flap → tolerated, drain
 stall → deadline overrun recorded, safe-point blockage → retry
-exhaustion. ``BENCH_fleet.json`` carries both batteries plus the
-fleet-wide aggregates (availability, transition-tail latency, rollback
-counts); ``--check`` turns its ``problems`` map into a CI gate.
+exhaustion. ``BENCH_fleet.json`` (:func:`fleet_figure`) carries both
+batteries plus the fleet-wide aggregates (availability, transition-tail
+latency, rollback counts) and the ``problems`` that fail ``repro report``.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -38,7 +35,7 @@ from ..fleet import (
     RolloutPolicy,
     RolloutReport,
 )
-from .updates import finish_run, harness_main
+from .updates import Figure, json_figure
 
 #: updates whose rollout is expected to halt (the paper's two §4 aborts)
 EXPECTED_HALTS = {("jetty", "5.1.2", "5.1.3"), ("javaemail", "1.2.4", "1.3")}
@@ -49,8 +46,16 @@ _WARMUP_MS = 150.0
 _PRELOAD_MS = 200.0
 _COOLDOWN_MS = 400.0
 
-#: campaign-wide availability below this is a ``--check`` problem
+#: campaign-wide availability below this is a problem
 AVAILABILITY_FLOOR = 0.99
+
+#: fleet size of every committed rollout, campaign and fault scenarios
+_MEMBERS = 4
+
+#: traffic RNG seeds (bit-for-bit reproducible): the campaign's first
+#: rollout (each next one adds 1) and every fault scenario
+_CAMPAIGN_SEED = 11
+_SCENARIO_SEED = 23
 
 
 @dataclass
@@ -93,8 +98,8 @@ def run_rollout(
     app: str,
     from_version: str,
     to_version: str,
-    size: int = 4,
-    seed: int = 11,
+    seed: int,
+    size: int = _MEMBERS,
     faults: Optional[FleetFaultInjector] = None,
     rollout_policy: Optional[RolloutPolicy] = None,
 ) -> Tuple[RolloutReport, FleetController]:
@@ -141,11 +146,7 @@ def campaign_row(report: RolloutReport,
     )
 
 
-def run_campaign(
-    size: int = 4,
-    seed: int = 11,
-    limit: Optional[int] = None,
-) -> List[CampaignRow]:
+def run_campaign(size: int, limit: Optional[int]) -> List[CampaignRow]:
     """The 22-update rolling campaign: one fresh fleet per update pair
     (matching the experience sweep, which also boots each ``from``
     version), continuous mixed traffic throughout."""
@@ -156,7 +157,7 @@ def run_campaign(
                 return rows
             report, controller = run_rollout(
                 app, from_version, to_version, size=size,
-                seed=seed + len(rows),
+                seed=_CAMPAIGN_SEED + len(rows),
             )
             rows.append(campaign_row(report, controller))
     return rows
@@ -166,7 +167,7 @@ def run_campaign(
 # fault-injection battery
 
 
-def _scenario_specs(size: int) -> List[dict]:
+def _scenario_specs() -> List[dict]:
     """Each spec: name, fault plan, optional policy override, and the
     properties the orchestrator must exhibit."""
     return [
@@ -222,7 +223,7 @@ def _scenario_specs(size: int) -> List[dict]:
     ]
 
 
-def run_fault_scenarios(size: int = 3, seed: int = 23) -> List[dict]:
+def run_fault_scenarios() -> List[dict]:
     """Inject every fleet-level fault into a known-good update and record
     what the orchestrator did, plus any violated expectation."""
     app = "jetty"
@@ -230,9 +231,9 @@ def run_fault_scenarios(size: int = 3, seed: int = 23) -> List[dict]:
     # has something to fire on) and applies cleanly when unfaulted.
     from_version, to_version = update_pairs(app)[1]
     results: List[dict] = []
-    for spec in _scenario_specs(size):
+    for spec in _scenario_specs():
         report, controller = run_rollout(
-            app, from_version, to_version, size=size, seed=seed,
+            app, from_version, to_version, seed=_SCENARIO_SEED,
             faults=FleetFaultInjector(spec["plan"]),
             rollout_policy=spec.get("policy"),
         )
@@ -287,10 +288,7 @@ def run_fault_scenarios(size: int = 3, seed: int = 23) -> List[dict]:
 
 
 def fleet_report(
-    rows: List[CampaignRow],
-    scenarios: List[dict],
-    size: int,
-    seed: int,
+    rows: List[CampaignRow], scenarios: List[dict], size: int
 ) -> dict:
     """The ``BENCH_fleet.json`` payload, ``problems`` map included."""
     completed = sum(row.sessions_completed for row in rows)
@@ -320,7 +318,7 @@ def fleet_report(
     return {
         "benchmark": "fleet-rolling-updates",
         "clock": "simulated",
-        "config": {"members": size, "seed": seed},
+        "config": {"members": size, "seed": _CAMPAIGN_SEED},
         "fleet": {
             "updates_attempted": len(rows),
             "rollouts_completed": sum(
@@ -347,74 +345,15 @@ def fleet_report(
     }
 
 
-def render_campaign_table(rows: List[CampaignRow]) -> str:
-    lines = [
-        "Fleet rolling-update campaign (simulated clock)",
-        f"{'app':>10s} {'update':>16s} {'status':>12s} {'upd':>4s} "
-        f"{'avail':>7s} {'p99(ms)':>8s} {'faults'}",
-    ]
-    for row in rows:
-        update = f"{row.from_version}->{row.to_version}"
-        lines.append(
-            f"{row.app:>10s} {update:>16s} {row.status:>12s} "
-            f"{row.members_updated:>4d} {row.availability:>7.4f} "
-            f"{row.transition_p99_ms:>8.2f} {','.join(row.faults) or '-'}"
-        )
-    return "\n".join(lines)
+def fleet_figure() -> Figure:
+    """``BENCH_fleet.json``: the rolling campaign over all 22 pairs on
+    4-member fleets, plus the five fault scenarios.
 
-
-def render_scenario_table(scenarios: List[dict]) -> str:
-    lines = [
-        "Fleet fault-injection scenarios",
-        f"{'scenario':>32s} {'status':>12s} {'rollback':>9s} {'ok':>3s}",
-    ]
-    for scenario in scenarios:
-        lines.append(
-            f"{scenario['scenario']:>32s} {scenario['status']:>12s} "
-            f"{scenario['rollback_kind'] or '-':>9s} "
-            f"{'no' if scenario['problems'] else 'yes':>3s}"
-        )
-    return "\n".join(lines)
-
-
-def _fleet_size(text: str) -> int:
-    size = int(text)
-    if size < 2:
-        raise argparse.ArgumentTypeError("a fleet needs at least 2 members")
-    return size
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--members", type=_fleet_size, default=4,
-                        help="fleet size for the campaign (>= 2)")
-    parser.add_argument("--seed", type=int, default=11,
-                        help="traffic RNG seed (bit-for-bit reproducible)")
-    parser.add_argument("--updates", type=int, default=None, metavar="N",
-                        help="run only the first N update pairs (CI smoke)")
-    parser.add_argument("--no-scenarios", action="store_true",
-                        help="skip the fault-injection battery")
-    parser.add_argument("--out", default="BENCH_fleet.json",
-                        help="where to write the JSON artifact")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero on any problem: availability "
-                             "below 99%%, an unexpected rollout outcome, or "
-                             "a fault scenario the orchestrator mishandled")
-
-
-def run(args: argparse.Namespace) -> int:
-    rows = run_campaign(size=args.members, seed=args.seed, limit=args.updates)
-    print(render_campaign_table(rows))
-    scenarios = [] if args.no_scenarios else run_fault_scenarios(
-        size=max(3, min(args.members, 4)), seed=args.seed * 2 + 1
-    )
-    if scenarios:
-        print()
-        print(render_scenario_table(scenarios))
-    return finish_run(
-        fleet_report(rows, scenarios, args.members, args.seed),
-        args.out, args.check, "FLEET-PROBLEM",
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(harness_main(sys.modules[__name__]))
+    Its problems fail ``repro report`` if campaign availability drops
+    below 99%, if any rollout halts outside the two statically predicted
+    paper aborts, if the injected member-crash scenario does not end with
+    the canary rolled back (by restart) and the rest of the fleet on the
+    old version, or if any scenario kills the orchestrator."""
+    return json_figure(fleet_report(
+        run_campaign(_MEMBERS, None), run_fault_scenarios(), _MEMBERS
+    ))

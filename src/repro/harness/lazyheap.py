@@ -8,16 +8,16 @@ remainder swept in idle slices — so the pause should be *flat* in heap
 size while the total overhead (pause + epoch drain) stays in the same
 ballpark as eager.
 
-Two experiments, one artifact (``BENCH_lazy.json``):
+Two experiments, one ``repro report`` row (``BENCH_lazy.json``,
+:func:`lazyheap_figure`):
 
 * **curve** — the microbenchmark population (all ``Change`` instances)
   at growing object counts, updated once per mode. Records the pause
   breakdown, and for lazy also the simulated cost of draining the epoch
-  to empty (``epoch_drain_ms``). The ``--check`` gates assert the
-  tentpole claim: from the smallest to the largest heap the eager pause
-  grows at least half as fast as the object count (>= 50x over the
-  default 100x) while every lazy pause stays within 2x of the
-  empty-heap pause.
+  to empty (``epoch_drain_ms``). The gates assert the tentpole claim:
+  from the smallest to the largest heap the eager pause grows at least
+  half as fast as the object count (>= 50x over the default 100x) while
+  every lazy pause stays within 2x of the empty-heap pause.
 * **differential** — every bundled update applied twice from identical
   quiescent boots, once eagerly and once lazily (epoch drained to
   empty afterwards). The statics-reachable heaps must be isomorphic:
@@ -30,8 +30,6 @@ Two experiments, one artifact (``BENCH_lazy.json``):
 
 from __future__ import annotations
 
-import argparse
-import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence, Tuple
@@ -43,13 +41,10 @@ from ..vm.heap import NULL
 from ..vm.rvmclass import RVMClass
 from ..vm.vm import VM
 from .microbench import apply_micro_update, heap_cells_for
-from .updates import finish_run, harness_main, harness_policy, run_update
+from .updates import Figure, harness_policy, json_figure, run_update
 
 #: the pause-scaling sweep: 10k -> 1M objects, two orders of magnitude
-DEFAULT_CURVE_SIZES = (10_000, 100_000, 1_000_000)
-
-#: scaled-down sweep for tests / --quick runs
-QUICK_CURVE_SIZES = (1_000, 4_000, 16_000)
+CURVE_SIZES = (10_000, 100_000, 1_000_000)
 
 # ---------------------------------------------------------------------------
 # the pause-scaling curve
@@ -131,9 +126,7 @@ def measure_curve_point(num_objects: int, mode: str) -> CurvePoint:
     )
 
 
-def run_curve(
-    sizes: Sequence[int] = DEFAULT_CURVE_SIZES,
-) -> Tuple[CurvePoint, List[CurvePoint]]:
+def run_curve(sizes: Sequence[int]) -> Tuple[CurvePoint, List[CurvePoint]]:
     """The empty-heap baseline plus both modes at every size."""
     baseline = measure_curve_point(0, "eager")
     points = []
@@ -342,58 +335,16 @@ def run_differential() -> List[DifferentialRow]:
 
 
 # ---------------------------------------------------------------------------
-# rendering and the artifact
-
-
-def render_curve(baseline: CurvePoint, points: List[CurvePoint]) -> str:
-    lines = [
-        "Update pause vs heap size (simulated ms; lazy drains its epoch "
-        "after the pause)",
-        f"empty-heap baseline pause: {baseline.total_pause_ms:.3f} ms",
-        f"{'objects':>9s} {'mode':>6s} {'pause':>10s} {'gc':>9s} "
-        f"{'in-pause':>9s} {'drain':>10s} {'total':>10s}",
-    ]
-    for point in sorted(points, key=lambda p: (p.num_objects, p.mode)):
-        lines.append(
-            f"{point.num_objects:>9d} {point.mode:>6s} "
-            f"{point.total_pause_ms:>10.3f} {point.gc_pause_ms:>9.3f} "
-            f"{point.objects_in_pause:>9d} {point.epoch_drain_ms:>10.3f} "
-            f"{point.total_overhead_ms:>10.3f}"
-        )
-    return "\n".join(lines)
-
-
-def render_differential(rows: List[DifferentialRow]) -> str:
-    lines = [
-        "Eager vs lazy end-state differential (quiescent boots)",
-        f"{'app':>10s} {'update':>16s} {'eager':>8s} {'lazy':>8s} "
-        f"{'state':>6s} {'console':>8s} {'objs':>7s}",
-    ]
-    for row in rows:
-        update = f"{row.from_version}->{row.to_version}"
-        lines.append(
-            f"{row.app:>10s} {update:>16s} {row.eager_status:>8s} "
-            f"{row.lazy_status:>8s} "
-            f"{'equal' if row.state_equal else 'DIFF':>6s} "
-            f"{'equal' if row.console_equal else 'DIFF':>8s} "
-            f"{row.objects_compared:>7d}"
-        )
-    bad = sum(1 for row in rows if row.problems())
-    lines.append(
-        f"{len(rows)} updates compared; "
-        + (f"{bad} with differences" if bad else "all end states equal")
-    )
-    return "\n".join(lines)
+# the artifact
 
 
 def lazyheap_report(
-    baseline: CurvePoint,
-    points: List[CurvePoint],
-    differential: List[DifferentialRow],
+    baseline: CurvePoint, points: List[CurvePoint],
+    rows: List[DifferentialRow],
 ) -> dict:
-    """The ``BENCH_lazy.json`` payload."""
+    """The ``BENCH_lazy.json`` payload, ``problems`` included."""
     problems = curve_problems(baseline, points)
-    for row in differential:
+    for row in rows:
         problems.extend(row.problems())
     return {
         "benchmark": "lazy-transformation",
@@ -403,58 +354,22 @@ def lazyheap_report(
             {**asdict(point), "total_overhead_ms": point.total_overhead_ms}
             for point in points
         ],
-        "differential": [asdict(row) for row in differential],
+        "differential": [asdict(row) for row in rows],
         "problems": problems,
     }
 
 
-def _sizes(text: str) -> Tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated object counts, got {text!r}"
-        ) from None
+def lazyheap_figure() -> Figure:
+    """``BENCH_lazy.json``: the pause curve at ``CURVE_SIZES`` plus the
+    22-update end-state differential.
 
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default="BENCH_lazy.json",
-                        help="where to write the JSON artifact")
-    parser.add_argument("--sizes", type=_sizes, default=None,
-                        metavar="N,N,...",
-                        help="comma-separated object counts for the curve "
-                             f"(default {','.join(map(str, DEFAULT_CURVE_SIZES))})")
-    parser.add_argument("--quick", action="store_true",
-                        help="scaled-down curve sizes "
-                             f"({','.join(map(str, QUICK_CURVE_SIZES))}) "
-                             "for smoke runs")
-    parser.add_argument("--no-differential", action="store_true",
-                        help="skip the 22-update eager-vs-lazy end-state "
-                             "comparison")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero unless every lazy pause stays "
-                             "within 2x of the empty-heap pause, the eager "
-                             "pause grows at least half as fast as the "
-                             "object count across the sweep, and "
-                             "every bundled update reaches the same end "
-                             "state in both modes")
-
-
-def run(args: argparse.Namespace) -> int:
-    sizes = args.sizes or (
-        QUICK_CURVE_SIZES if args.quick else DEFAULT_CURVE_SIZES
+    Its problems fail ``repro report`` unless every lazy pause stays
+    within 2x of the empty-heap pause while the eager pause grows at
+    least half as fast as the heap (>= 50x over 10k -> 1M objects: pause
+    decoupled from heap size), and unless all 22 bundled updates reach an
+    identical statics-reachable end state (address-free fingerprint +
+    console transcript) whether applied eagerly or through a drained lazy
+    epoch."""
+    return json_figure(
+        lazyheap_report(*run_curve(CURVE_SIZES), run_differential())
     )
-    baseline, points = run_curve(sizes)
-    print(render_curve(baseline, points))
-    differential: List[DifferentialRow] = []
-    if not args.no_differential:
-        differential = run_differential()
-        print(render_differential(differential))
-    return finish_run(
-        lazyheap_report(baseline, points, differential),
-        args.out, args.check, "GATE",
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(harness_main(sys.modules[__name__]))

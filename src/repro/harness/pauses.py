@@ -9,18 +9,13 @@ validate (no unclosed spans, children inside parents, siblings ordered)
 and the per-phase breakdown must never sum to more than the end-to-end
 update latency.
 
-Artifacts:
-
-* ``BENCH_pauses.json`` — machine-readable per-update rows (the CI job
-  uploads this and fails on any soundness violation);
-* a human table via :func:`render_pause_table`;
-* optionally one Chrome ``trace_event`` file per run for Perfetto.
+One sweep, two ``repro report`` rows (:func:`pause_figures`): the human
+table ``pause_sweep.txt`` and the per-update rows ``BENCH_pauses.json``.
+``repro trace`` writes one run's Chrome ``trace_event`` file for Perfetto.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -30,9 +25,8 @@ from ..vm.vm import VM
 from .updates import (
     Figure,
     failed,
-    finish_run,
-    harness_main,
     harness_policy,
+    json_figure,
     light_load,
     run_update,
 )
@@ -74,7 +68,7 @@ class PauseRow:
         return sum(self.phases.values())
 
     def soundness_problems(self) -> List[str]:
-        """The invariants the CI job enforces."""
+        """The invariants ``BENCH_pauses.json`` gates on."""
         problems = list(self.trace_problems)
         if self.phase_sum_ms > self.end_to_end_ms + _EPS_MS:
             problems.append(
@@ -202,16 +196,11 @@ def render_pause_table(rows: List[PauseRow]) -> str:
     return "\n".join(lines)
 
 
-def pause_sweep_figure() -> Figure:
+def pause_sweep_figure(rows: List[PauseRow]) -> Figure:
     """All 22 bundled updates x both transform modes (44 rows): every one
-    applies (the in-loop OSR rescue is on), every breakdown and span tree
-    is sound, and the OSR-requiring update shows OSR work inside the pause
-    whether objects transform eagerly or lazily."""
-    rows = run_pause_sweep()
-    unsound = [
-        f"{subject}: {'; '.join(found)}"
-        for subject, found in pause_report(rows)["problems"].items()
-    ]
+    applies (the in-loop OSR rescue is on), and the OSR-requiring update
+    shows OSR work inside the pause whether objects transform eagerly or
+    lazily."""
     checks = [(len(rows) == 44, f"{len(rows)} rows, not 44")]
     for mode in ("eager", "lazy"):
         mode_rows = [row for row in rows if row.transform_mode == mode]
@@ -226,12 +215,22 @@ def pause_sweep_figure() -> Figure:
              f"javaemail 1.3.1->1.3.2 [{mode}] shows no OSR work in its "
              f"pause"),
         ]
-    return render_pause_table(rows), unsound + failed(checks)
+    return render_pause_table(rows), failed(checks)
 
 
-def pause_report(rows: List[PauseRow]) -> dict:
-    """The ``BENCH_pauses.json`` payload."""
-    return {
+def pause_figures() -> Tuple[Figure, Figure]:
+    """One pause sweep, two artifacts: ``pause_sweep.txt`` (the table and
+    its shape) and ``BENCH_pauses.json`` (the rows and their soundness).
+
+    The JSON's problems fail ``repro report`` if any update's phase
+    breakdown sums to more than its end-to-end pause, if any run's span
+    tree fails validation, if any update whose prepared transform map is
+    empty (no class layout changed) reports a nonzero GC pause (the
+    GC-skip regression gate), or if any lazy run reports an
+    update-collection pause or in-pause object transforms: the lazy epoch
+    must keep all per-object work out of the pause."""
+    rows = run_pause_sweep()
+    return pause_sweep_figure(rows), json_figure({
         "benchmark": "pause-breakdown",
         "clock": "simulated",
         "updates": [asdict(row) for row in rows],
@@ -241,34 +240,4 @@ def pause_report(rows: List[PauseRow]) -> dict:
             for row in rows
             if (problems := row.soundness_problems())
         },
-    }
-
-
-def add_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default="BENCH_pauses.json",
-                        help="where to write the JSON artifact")
-    parser.add_argument("--trace-out", default=None, metavar="FILE",
-                        help="also write one sample Chrome trace (the "
-                             "javaemail 1.3.1->1.3.2 OSR update)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero if any update's phase breakdown "
-                             "sums past its end-to-end latency, its span "
-                             "tree fails validation, an update with an "
-                             "empty transform map reports a nonzero GC "
-                             "pause (the collection must be skipped), or a "
-                             "lazy update reports any update-collection "
-                             "pause or in-pause object transforms (all "
-                             "per-object work must leave the pause)")
-
-
-def run(args: argparse.Namespace) -> int:
-    rows = run_pause_sweep()
-    print(render_pause_table(rows))
-    if args.trace_out:
-        measure_pause("javaemail", "1.3.1", "1.3.2", trace_out=args.trace_out)
-        print(f"wrote {args.trace_out}", file=sys.stderr)
-    return finish_run(pause_report(rows), args.out, args.check, "UNSOUND")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(harness_main(sys.modules[__name__]))
+    })

@@ -8,9 +8,7 @@ and JavaEmailServer 1.3 abort; CrossFTP 1.08 applies only when idle).
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -268,10 +266,10 @@ def run_update(
 
 
 # ---------------------------------------------------------------------------
-# the one harness command line
+# the one artifact contract
 
 
-#: what every paper-figure function returns: the rendered artifact and
+#: what every ``report.FIGURES`` row returns: the rendered artifact and
 #: the ways its shape departs from the paper's (empty = reproduced)
 Figure = Tuple[str, List[str]]
 
@@ -282,33 +280,14 @@ def failed(checks) -> List[str]:
     return [message for holds, message in checks if not holds]
 
 
-def harness_main(module, argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.harness.<name>``: the flags and ``run`` that
-    ``repro <name>`` registers from ``cli.HARNESS_COMMANDS``."""
-    parser = argparse.ArgumentParser(
-        prog=module.__spec__.name, description=module.__doc__.split("\n\n")[0]
-    )
-    module.add_arguments(parser)
-    return module.run(parser.parse_args(argv))
-
-
-def finish_run(report: dict, out: str, check: bool, prefix: str) -> int:
-    """The tail of every harness run: write the JSON artifact and, under
-    ``--check``, print ``report["problems"]`` (a list, or a map of subject
-    -> list) to stderr behind ``prefix``. Returns the exit code."""
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {out}", file=sys.stderr)
-    problems = report["problems"]
+def json_figure(payload: dict) -> Figure:
+    """A ``BENCH_*.json`` row: the payload as sorted, indented JSON, and
+    its ``problems`` (a list, or a map of subject -> list) as lines."""
+    problems = payload["problems"]
     if isinstance(problems, dict):
         problems = [
             f"{subject}: {problem}"
             for subject, entries in sorted(problems.items())
             for problem in entries
         ]
-    if not check or not problems:
-        return 0
-    for problem in problems:
-        print(f"{prefix} {problem}", file=sys.stderr)
-    return 1
+    return json.dumps(payload, indent=2, sort_keys=True), problems

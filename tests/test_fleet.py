@@ -153,6 +153,38 @@ class TestRollingUpdate:
         assert report.members[1].attempts == 0
         assert report.versions["m1"] == "5.1.2"
 
+    def test_a_rollout_prepares_the_update_once(self, monkeypatch):
+        prepares = []
+        prepare = AppDriver.prepare
+
+        def counting_prepare(driver, to_version, *args, **kwargs):
+            prepares.append(to_version)
+            return prepare(driver, to_version, *args, **kwargs)
+
+        monkeypatch.setattr(AppDriver, "prepare", counting_prepare)
+        controller = make_fleet(app="jetty", version="5.1.1", size=3)
+        report = controller.rolling_update("5.1.2")
+        assert report.status == "completed"
+        assert report.versions == {m: "5.1.2" for m in ("m0", "m1", "m2")}
+        assert prepares == ["5.1.2"]
+
+    def test_a_member_behind_the_canary_gets_its_own_update(self):
+        # The canary already runs the target; m1 must still get the
+        # 5.1.1 -> 5.1.2 diff, not the canary's empty 5.1.2 -> 5.1.2 one.
+        controller = make_fleet(app="jetty", version="5.1.1")
+        controller.members["m0"].current_version = "5.1.2"
+        report = controller.rolling_update("5.1.2")
+        assert report.versions["m1"] == "5.1.2"
+        expected = AppDriver.for_app("jetty").prepare_pair("5.1.1", "5.1.2")
+        changed = sorted(expected.spec.method_body_updates)
+        assert changed
+        for owner, name, descriptor in changed:
+            entry = controller.members["m1"].vm.methods.lookup(
+                owner, name, descriptor
+            )
+            new = expected.new_classfiles[owner].get_method(name, descriptor)
+            assert entry.info.instructions == new.instructions
+
     def test_transition_latency_recorded_during_rollout(self):
         controller = warm_traffic(make_fleet(app="jetty", version="5.1.1"))
         controller.rolling_update("5.1.2")

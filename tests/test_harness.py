@@ -211,11 +211,7 @@ class TestEnduranceHarness:
 
     def test_javaemail_stream_applies_with_bypass_where_eligible(self):
         from repro.apps.registry import expected_bypass_eligible
-        from repro.harness.endurance import (
-            endurance_report,
-            render_endurance_table,
-            run_endurance,
-        )
+        from repro.harness.endurance import endurance_report, run_endurance
 
         rows = run_endurance("javaemail")
         assert [
@@ -245,9 +241,6 @@ class TestEnduranceHarness:
         assert report["problems"] == {}
         assert report["bypassed"] == 3
         assert report["osr_rescued"] == 1
-        table = render_endurance_table(rows)
-        assert "zero-pause immediate bypass" in table
-        assert "in place via in-loop OSR" in table
 
     def test_javaemail_paper_fidelity_stream_restarts_on_the_abort(self):
         from repro.harness.endurance import endurance_report, run_endurance
@@ -280,7 +273,7 @@ class TestEnduranceHarness:
 
 # ---------------------------------------------------------------------------
 # the shared experiment path: one session primitive, two named default
-# policies, one command-line registration and one artifact tail
+# policies, and one artifact command
 
 
 class TestSessionPrimitive:
@@ -347,18 +340,28 @@ COMMITTED_RESULTS = os.path.join(
 )
 
 
+def _artifacts(figures):
+    """(file, heading) of every artifact the ``FIGURES`` rows make, in
+    order; a row with tuples makes one artifact per file."""
+    for names, headings, _ in figures:
+        if isinstance(names, str):
+            yield names, headings
+        else:
+            assert len(names) == len(headings)
+            yield from zip(names, headings)
+
+
 class TestFigures:
-    """``harness.report.FIGURES`` is the only list of paper artifacts."""
+    """``harness.report.FIGURES`` is the only list of committed artifacts."""
 
     def test_figures_are_exactly_the_committed_artifacts(self):
         from repro.harness.report import FIGURES, SCALES
 
-        committed = {
-            name[:-len(".txt")] for name in os.listdir(COMMITTED_RESULTS)
-        } - {"REPORT"}
-        names = [name for name, _, _ in FIGURES]
-        assert len(names) == len(set(names)) == 14
+        committed = set(os.listdir(COMMITTED_RESULTS)) - {"REPORT.txt"}
+        names = [name for name, _ in _artifacts(FIGURES)]
+        assert len(names) == len(set(names)) == 18
         assert set(names) == committed
+        assert tuple(SCALES) == ("small", "full")  # `repro report --scale`
         for sizes in SCALES.values():
             assert set(sizes) <= committed
         # REPORT.txt is the headed figures, in FIGURES order.
@@ -370,7 +373,9 @@ class TestFigures:
             if lines[i - 1] == rule == lines[i + 1]
         ]
         assert len(sections) == 8
-        assert sections == [heading for _, heading, _ in FIGURES if heading]
+        assert sections == [
+            heading for _, heading in _artifacts(FIGURES) if heading
+        ]
 
     def test_tables_2_to_4_regenerate_byte_identical(self):
         from repro.harness.report import FIGURES
@@ -383,9 +388,8 @@ class TestFigures:
         for name, figure in tables:
             text, problems = figure()
             assert problems == []
-            with open(os.path.join(COMMITTED_RESULTS, f"{name}.txt")) as handle:
+            with open(os.path.join(COMMITTED_RESULTS, name)) as handle:
                 assert handle.read() == text + "\n"
-
 
     def test_a_figure_reports_the_shape_it_lost(self, monkeypatch):
         from repro.harness import pauses, tables
@@ -394,109 +398,146 @@ class TestFigures:
         _, problems = tables.update_table_figure("crossftp")
         assert problems == ["method-body-only releases are []"]
 
-        monkeypatch.setattr(pauses, "run_pause_sweep", lambda: [])
-        _, problems = pauses.pause_sweep_figure()
+        _, problems = pauses.pause_sweep_figure([])
         assert "0 rows, not 44" in problems
         assert "0 of 0 lazy updates applied, not 22 of 22" in problems
         assert len(problems) == 5
 
 
-def _harness_entry_points(name):
-    """Both spellings of one harness: ``repro <name> ...`` and
-    ``python -m repro.harness.<name> ...``."""
-    import importlib
-
-    from repro.cli import main as cli_main
-    from repro.harness.updates import harness_main
-
-    module = importlib.import_module(f"repro.harness.{name}")
-    return {
-        "cli": lambda argv: cli_main([name] + argv),
-        "module": lambda argv: harness_main(module, argv),
-    }
+#: the smallest lazyheap curve that still spans the eager-growth gate
+QUICK_CURVE_SIZES = (1_000, 4_000, 16_000)
 
 
-class TestHarnessCommandLine:
-    @pytest.mark.parametrize("spelling", ["cli", "module"])
-    @pytest.mark.parametrize("name,argv,title", [
-        ("fleet", ["--members", "2", "--updates", "1", "--no-scenarios"],
-         "fleet-rolling-updates"),
-        ("endurance", ["--app", "crossftp"], "endurance"),
-        ("lazyheap", ["--quick", "--no-differential"], "lazy-transformation"),
+def _small_fleet():
+    from repro.harness.fleet import fleet_report, run_campaign
+
+    return fleet_report(run_campaign(2, 1), [], 2)
+
+
+def _small_endurance():
+    from repro.harness.endurance import endurance_report, run_endurance
+
+    return endurance_report(run_endurance("crossftp"))
+
+
+def _small_lazyheap():
+    from repro.harness.lazyheap import lazyheap_report, run_curve
+
+    return lazyheap_report(*run_curve(QUICK_CURVE_SIZES), [])
+
+
+class TestJsonRows:
+    """The lazyheap, endurance and fleet payloads, built from their rows'
+    pieces at the smallest sizes: sorted JSON with no trailing newline
+    (the report adds one), the ``benchmark``/``clock`` keys, and no
+    problems. (The pause rows run at full size in
+    ``test_obs.py::TestBundledUpdateTraces``.)"""
+
+    @pytest.mark.parametrize("payload,title", [
+        (_small_fleet, "fleet-rolling-updates"),
+        (_small_endurance, "endurance"),
+        (_small_lazyheap, "lazy-transformation"),
     ])
-    def test_smallest_run_writes_a_clean_artifact(
-        self, name, argv, title, spelling, tmp_path, capsys
-    ):
+    def test_smallest_run_is_a_clean_artifact(self, payload, title):
         import json
 
-        out = tmp_path / f"{name}.json"
-        run = _harness_entry_points(name)[spelling]
-        assert run(argv + ["--check", "--out", str(out)]) == 0
-        text = out.read_text(encoding="utf-8")
-        assert text.endswith("}\n")
+        from repro.harness.updates import json_figure
+
+        text, problems = json_figure(payload())
+        assert problems == []
+        assert text.endswith("}")
         report = json.loads(text)
+        assert text == json.dumps(report, indent=2, sort_keys=True)
         assert report["benchmark"] == title
         assert report["clock"] == "simulated"
         assert not report["problems"]
-        assert f"wrote {out}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spelling", ["cli", "module"])
-    @pytest.mark.parametrize("name,argv,complaint", [
-        ("fleet", ["--members", "1"], "at least 2 members"),
-        ("fleet", ["--members", "many"], "--members"),
-        ("lazyheap", ["--sizes", "1k"], "comma-separated object counts"),
-        ("endurance", ["--app", "nope"], "invalid choice"),
-    ])
-    def test_bad_input_is_a_usage_error_not_a_traceback(
-        self, name, argv, complaint, spelling, capsys
-    ):
-        with pytest.raises(SystemExit) as exit_info:
-            _harness_entry_points(name)[spelling](argv)
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and complaint in err
 
-    @pytest.mark.parametrize("spelling", ["cli", "module"])
+def _stub_figures(monkeypatch, keep=(), failing=None):
+    """Replace every ``FIGURES`` function except the rows named in
+    ``keep`` with a stub that records its call and renders its sizes; the
+    ``failing`` file's stub also reports a problem."""
+    from repro.harness import report
+
+    calls = []
+
+    def made(name, sizes):
+        return f"<{name} {sorted(sizes)}>", (
+            ["the curve is flat"] if name == failing else []
+        )
+
+    def stub(names):
+        def figure(**sizes):
+            calls.append(names)
+            if isinstance(names, str):
+                return made(names, sizes)
+            return tuple(made(name, sizes) for name in names)
+        return figure
+
+    monkeypatch.setattr(report, "FIGURES", tuple(
+        (names, headings, figure if names in keep else stub(names))
+        for names, headings, figure in report.FIGURES
+    ))
+    return calls
+
+
+class TestReportCommand:
     def test_report_runs_each_figure_once_and_gates_on_any_problem(
-        self, spelling, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch
     ):
+        from repro.cli import main
         from repro.harness import report
 
-        calls = []
-
-        def stub(name, problems):
-            def figure(**sizes):
-                calls.append(name)
-                return f"<{name} {sorted(sizes)}>", problems
-            return figure
-
-        monkeypatch.setattr(report, "FIGURES", tuple(
-            (name, heading, stub(
-                name, ["the curve is flat"] if name == "pause_sweep" else []
-            ))
-            for name, heading, _ in report.FIGURES
-        ))
-        run = _harness_entry_points("report")[spelling]
-        assert run(["--out-dir", str(tmp_path)]) == 1
+        calls = _stub_figures(monkeypatch, failing="pause_sweep.txt")
+        assert main(["report", "--out-dir", str(tmp_path)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "FIGURE pause_sweep: the curve is flat\n"
-        names = [name for name, _, _ in report.FIGURES]
-        assert calls == names  # one walk: no second pass for REPORT.txt
+        assert captured.err == "FIGURE pause_sweep.txt: the curve is flat\n"
+        # one walk: one call per row, no second pass for REPORT.txt
+        assert calls == [names for names, _, _ in report.FIGURES]
         assert sorted(os.listdir(tmp_path)) == sorted(
-            [f"{name}.txt" for name in names] + ["REPORT.txt"]
+            [name for name, _ in _artifacts(report.FIGURES)] + ["REPORT.txt"]
         )
         assert (tmp_path / "table1_microbench.txt").read_text() == (
-            "<table1_microbench ['counts', 'fractions']>\n"
+            "<table1_microbench.txt ['counts', 'fractions']>\n"
         )
         written = (tmp_path / "REPORT.txt").read_text()
         assert written + "\n" == captured.out
         assert written.count("=" * 72) == 16
-        assert "<pause_sweep []>" in written
-        assert "ablation" not in written
+        assert "<pause_sweep.txt []>" in written
+        assert "ablation" not in written and "BENCH" not in written
 
-    def test_check_gate_fails_with_the_harness_prefix(
+    def test_one_pause_sweep_feeds_both_pause_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.harness import pauses
+        from repro.harness.report import generate_report
+
+        row = pauses.PauseRow("jetty", "5.1.0", "5.1.1", "applied")
+        sweeps = []
+
+        def sweep():
+            sweeps.append(row)
+            return [row]
+
+        monkeypatch.setattr(pauses, "run_pause_sweep", sweep)
+        _stub_figures(
+            monkeypatch, keep=(("pause_sweep.txt", "BENCH_pauses.json"),)
+        )
+        _, problems = generate_report(out_dir=str(tmp_path))
+        assert sweeps == [row]
+        assert "pause_sweep.txt: 1 rows, not 44" in problems
+        assert "5.1.0->5.1.1" in (tmp_path / "pause_sweep.txt").read_text()
+        payload = json.loads((tmp_path / "BENCH_pauses.json").read_text())
+        assert [update["to_version"] for update in payload["updates"]] == [
+            "5.1.1"
+        ]
+
+    def test_a_json_problem_fails_the_report_after_every_write(
         self, tmp_path, capsys, monkeypatch
     ):
+        from repro.cli import main
         from repro.harness import endurance
 
         bad_row = endurance.TransitionRow(
@@ -505,15 +546,66 @@ class TestHarnessCommandLine:
             pause_ms=0.25, safepoint_rounds=0, stale_frames=0,
             objects_transformed=0,
         )
-        monkeypatch.setattr(
-            endurance, "run_endurance", lambda app, **kwargs: [bad_row]
+        monkeypatch.setattr(endurance, "run_endurance", lambda app: [bad_row])
+        _stub_figures(monkeypatch, keep=("BENCH_endurance.json",))
+        assert main(["report", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "FIGURE BENCH_endurance.json: jetty 5.1.0->5.1.1: bypass update "
+            "reports"
         )
-        out = tmp_path / "endurance.json"
-        argv = ["--app", "jetty", "--out", str(out)]
-        main = _harness_entry_points("endurance")["module"]
-        assert main(argv) == 0  # problems only gate under --check
-        capsys.readouterr()
-        assert main(argv + ["--check"]) == 1
+        assert len(os.listdir(tmp_path)) == 19
+        assert (tmp_path / "BENCH_endurance.json").read_text().endswith("}\n")
+
+    @pytest.mark.parametrize("argv,complaint", [
+        (["report", "--scale", "huge"], "invalid choice"),
+        (["report", "--out-dir"], "expected one argument"),
+        (["report", "--check"], "unrecognized arguments: --check"),
+        # the per-artifact subcommands are gone: `report` writes all four
+        (["pauses"], "invalid choice: 'pauses'"),
+        (["lazyheap", "--quick"], "invalid choice: 'lazyheap'"),
+        (["endurance", "--app", "jetty"], "invalid choice: 'endurance'"),
+        (["fleet", "--members", "3"], "invalid choice: 'fleet'"),
+    ])
+    def test_bad_input_is_a_usage_error_not_a_traceback(
+        self, argv, complaint, capsys
+    ):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "ENDURANCE jetty 5.1.0->5.1.1: bypass update reports" in err
-        assert out.read_text(encoding="utf-8").endswith("}\n")
+        assert "error:" in err and complaint in err
+
+    def test_json_rows_flatten_problems_by_subject(self):
+        from repro.harness.updates import json_figure
+
+        text, problems = json_figure({
+            "problems": {"jetty": ["b", "a"], "crossftp": ["c"]}, "n": 1,
+        })
+        assert problems == ["crossftp: c", "jetty: b", "jetty: a"]
+        assert text.startswith('{\n  "n": 1,\n  "problems"')
+        assert json_figure({"problems": ["flat"]})[1] == ["flat"]
+
+    def test_importing_the_cli_loads_no_harness_code(self):
+        """``repro report`` and ``repro trace`` import the harness inside
+        their handlers, so every other subcommand starts without it."""
+        import subprocess
+        import sys
+
+        import repro
+
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('\\n'.join(sorted(sys.modules)))"],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                os.path.dirname(repro.__file__)
+            )),
+            check=True, capture_output=True, text=True,
+        ).stdout.split()
+        assert "repro.cli" in loaded
+        assert [
+            name for name in loaded
+            if name.startswith(("repro.harness", "repro.fleet"))
+        ] == []

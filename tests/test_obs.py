@@ -432,12 +432,18 @@ class TestBundledUpdateTraces:
     def test_all_bundled_updates_have_well_formed_traces(self):
         """All 22 updates x eager/lazy apply with sound breakdowns and span
         trees, and lazy keeps per-object work out of the pause: the checks
-        are the pause figure's own (``repro report`` gates on them too)."""
-        from repro.harness.pauses import pause_sweep_figure
+        are the two pause artifacts' own (``repro report`` gates on them
+        too). The sweep is paid for anyway, so the committed
+        ``BENCH_pauses.json`` must also still be what it produces."""
+        from repro.harness.pauses import pause_figures
 
-        text, problems = pause_sweep_figure()
-        assert problems == []
+        (text, problems), (payload, unsound) = pause_figures()
+        assert problems == [] and unsound == []
         assert text.endswith("44 updates measured; all pause breakdowns sound")
+        committed = DATA_DIR.parent.parent / "benchmark_results"
+        assert (committed / "BENCH_pauses.json").read_text(
+            encoding="utf-8"
+        ) == payload + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,9 @@ class TestPolicyObject:
         (dict(lint="eventually"), "lint"),
         (dict(bypass="yes"), "bypass"),
         (dict(inloop_osr="maybe"), "inloop_osr"),
+        # the engine implements only off|auto; "require" was accepted and
+        # then behaved exactly like "off"
+        (dict(inloop_osr="require"), "inloop_osr"),
         (dict(transform="deferred"), "transform"),
     ])
     def test_mode_validation(self, kwargs, needle):

@@ -266,3 +266,58 @@ class TestForcedDrainBelongsToTheUpdateThatForcedIt:
         fixture.engine.drain_lazy_epoch()
         fixture.run(until_ms=3_000)
         assert fixture.console == ["sum:820:v3"]
+
+
+class TestOnePreparedUpdateManyVMs:
+    def test_a_prepared_update_applies_to_a_second_vm(self):
+        # Retiring the transformer class after the first apply used to
+        # rename the prepared update's own class file, so the second VM
+        # failed to verify the renamed class (classload-failed).
+        from repro.harness.lazyheap import heap_fingerprint
+        from tests.test_gc_extras import UPDATE_V1, UPDATE_V2
+
+        fixtures = [UpdateFixture(UPDATE_V1).start() for _ in range(2)]
+        prepared = fixtures[0].prepare(UPDATE_V2)
+        request = UpdateRequest(prepared, policy=UpdatePolicy(retry=RETRY))
+        results = []
+        for fixture in fixtures:
+            fixture.vm.events.schedule(
+                55, lambda engine=fixture.engine:
+                results.append(engine.submit(request))
+            )
+            fixture.run(until_ms=1_000)
+        assert [result.status for result in results] == ["applied", "applied"]
+        assert results[0].objects_transformed == 50
+        first, second = (heap_fingerprint(f.vm) for f in fixtures)
+        assert first == second
+
+    def test_retiring_the_transformers_leaves_the_prepared_class_file(self):
+        from tests.test_gc_extras import UPDATE_V1, UPDATE_V2
+
+        fixture = UpdateFixture(UPDATE_V1).start()
+        prepared = fixture.prepare(UPDATE_V2)
+        names = {
+            name: classfile.name
+            for name, classfile in prepared.transformer_classfiles.items()
+        }
+        request = UpdateRequest(prepared, policy=UpdatePolicy(retry=RETRY))
+        results = []
+        fixture.vm.events.schedule(
+            55, lambda: results.append(fixture.engine.submit(request))
+        )
+        fixture.run(until_ms=1_000)
+        assert [result.status for result in results] == ["applied"]
+        assert names and all(
+            prepared.transformer_classfiles[name].name == name == original
+            for name, original in names.items()
+        )
+        for name in names:
+            assert fixture.vm.registry.maybe_get(name) is None
+            (retired,) = [
+                cls for cls in fixture.vm.classfiles
+                if cls.startswith(f"{name}_")
+            ]
+            assert fixture.vm.classfiles[retired].name == retired
+            rvmclass = fixture.vm.registry.maybe_get(retired)
+            assert rvmclass.obsolete
+            assert rvmclass.classfile is fixture.vm.classfiles[retired]
