@@ -320,7 +320,7 @@ def _tokens(method: MethodInfo) -> List[tuple]:
     for instr in method.instructions:
         if instr.op in ("LOAD", "STORE"):
             tokens.append((instr.op, canonical[instr.a]))
-        elif instr.op == "JUMP" or instr.op in BRANCH_OPS:
+        elif instr.op in BRANCH_OPS:
             tokens.append((instr.op,))
         else:
             tokens.append((instr.op, instr.a, instr.b))
@@ -343,7 +343,7 @@ def _align(old: MethodInfo, new: MethodInfo) -> Dict[int, int]:
         changed = False
         for old_pc, new_pc in list(pc_map.items()):
             old_instr = old.instructions[old_pc]
-            if old_instr.op != "JUMP" and old_instr.op not in BRANCH_OPS:
+            if old_instr.op not in BRANCH_OPS:
                 continue
             new_instr = new.instructions[new_pc]
             if pc_map.get(old_instr.a) != new_instr.a:
@@ -371,7 +371,7 @@ def _constant_initializer(code: List[Instr], slot: int) -> Optional[int]:
     value (a branch target between the push and the store would break the
     pairing, so the pair is also required to be fall-through-only)."""
     targets = {
-        instr.a for instr in code if instr.op == "JUMP" or instr.op in BRANCH_OPS
+        instr.a for instr in code if instr.op in BRANCH_OPS
     }
     values: Set[int] = set()
     for pc, instr in enumerate(code):

@@ -31,6 +31,7 @@ from ..obs import Tracer
 from ..vm.classloader import ClassLoadError
 from ..vm.gc import GCStats
 from ..vm.heap import HEAP_BASE, HeapPreflightError, OutOfMemoryError
+from ..vm.machinecode import CompiledMethod, MethodEntry
 from ..vm.osr import OSRError, osr_replace_all, osr_replace_mapped
 from ..vm.rvmclass import RVMClass
 from .faults import FaultInjector, InjectedFault, VMCrash
@@ -83,6 +84,33 @@ MODE_BYPASS = "bypass"
 
 class TransformerCycleError(Exception):
     """Recursive object transformation revisited an in-progress object."""
+
+
+#: a default object transformer as ``(old cell offset, new cell offset)``
+#: copies
+CopyPlan = Tuple[Tuple[int, int], ...]
+
+
+def field_copy_plan(code: CompiledMethod) -> Optional[CopyPlan]:
+    """The copies a compiled ``jvolveObject(to, from)`` body performs, when
+    the body has exactly the UPT default shape — n x ``LOAD 0; LOAD 1;
+    GETFIELD s; PUTFIELD d``, then ``RETURN`` — else ``None``. Such a body
+    is straight-line and its only effect is ``to[d] = from[s]`` per field,
+    so running the copies is equivalent to interpreting it. Any other body
+    (custom overrides, helpers, ``Sys.forceTransform``, constants, statics)
+    must be interpreted."""
+    instructions = code.instructions
+    if len(instructions) % 4 != 1 or instructions[-1].op != "RETURN":
+        return None
+    plan = []
+    for pc in range(0, len(instructions) - 1, 4):
+        load_to, load_from, get, put = instructions[pc:pc + 4]
+        if (load_to.op != "LOAD" or load_to.a != 0
+                or load_from.op != "LOAD" or load_from.a != 1
+                or get.op != "GETFIELD" or put.op != "PUTFIELD"):
+            return None
+        plan.append((get.a, put.a))
+    return tuple(plan)
 
 
 def _classify_failure(
@@ -354,6 +382,13 @@ class UpdateEngine:
         self._held: Optional[UpdateResult] = None
         self._transform_in_progress: Set[int] = set()
         self._old_copy_of: Dict[int, int] = {}
+        #: per new class of the update being transformed: its
+        #: ``jvolveObject`` entry, the compiled code the copy plan was read
+        #: from, and the plan (``None``: interpret the body)
+        self._object_transformers: Dict[
+            RVMClass, Tuple[Optional[MethodEntry], Optional[CompiledMethod],
+                            Optional[CopyPlan]]
+        ] = {}
         #: old-version frames still in flight after the latest bypass
         #: install; decremented by the interpreter's retirement hook
         self._bypass_stale_outstanding = 0
@@ -755,6 +790,8 @@ class UpdateEngine:
         # The world is stopped (or, for bypass, never has to): drop the
         # yield flag so synchronous transformer/clinit runs go full speed.
         vm.yield_flag = False
+        # A rolled-back attempt never retired its transformer class.
+        self._object_transformers.clear()
         txn = active.txn = UpdateTransaction(vm, scope=scope)
         # An allocation-triggered collection inside the critical section
         # (e.g. from a <clinit> or transformer) would move objects under
@@ -1130,24 +1167,58 @@ class UpdateEngine:
         at epoch close (:class:`LazyEpoch`'s ``retire``) for lazy ones."""
         tag = f"retired{len(self.history)}_{prepared.new_version}"
         retire_old_version(self.vm, prepared, renamed, tag.replace(".", ""))
+        self._object_transformers.clear()
 
     def _run_object_transformer(self, prefix: str, new_class: RVMClass,
                                 new_address: int, old_address: int) -> None:
         """Run ``jvolveObject(new, old)`` for one object — the per-object
-        work of both the eager log replay and the lazy epoch."""
+        work of both the eager log replay and the lazy epoch.
+
+        A body with the UPT default shape (:func:`field_copy_plan`) runs
+        as its copies instead of on an interpreter thread, charged exactly
+        what interpreting it charges: its ``4n+1`` instructions and, while
+        a lazy epoch's barrier is armed, one check per GETFIELD (on
+        ``from``: pending and in progress, so the read goes through raw)
+        and per PUTFIELD (on ``to``: a new-class object, a no-op)."""
         vm = self.vm
-        descriptor = f"(L{new_class.name};,L{prefix}{new_class.name};)V"
-        entry = vm.methods.lookup(TRANSFORMERS_CLASS, "jvolveObject", descriptor)
+        clock = vm.clock
+        costs = clock.costs
         # Reflective dispatch + field-by-field copy cost model (§4.1: "our
         # transformer functions use reflection to look up jvolveObject, and
         # this function copies one field at a time").
-        vm.clock.tick(
-            vm.clock.costs.transform_dispatch
-            + vm.clock.costs.transform_field * len(new_class.field_layout)
+        clock.tick(
+            costs.transform_dispatch
+            + costs.transform_field * len(new_class.field_layout)
         )
-        if entry is not None:
+        memo = self._object_transformers.get(new_class)
+        if memo is None:
+            descriptor = f"(L{new_class.name};,L{prefix}{new_class.name};)V"
+            memo = self._object_transformers[new_class] = (
+                vm.methods.lookup(TRANSFORMERS_CLASS, "jvolveObject",
+                                  descriptor),
+                None, None,
+            )
+        entry, planned_code, plan = memo
+        if entry is None:
+            return
+        # Kept for the plan too: the first call's JIT cost and span.
+        code = vm.jit.ensure_compiled(entry)
+        if code is not planned_code:
+            plan = field_copy_plan(code)
+            self._object_transformers[new_class] = (entry, code, plan)
+        if plan is None:
             vm.run_static_method_synchronously(entry, [new_address, old_address])
-            vm.metrics.inc("dsu.transformer_invocations")
+        else:
+            cells = vm.heap.cells
+            for old_offset, new_offset in plan:
+                cells[new_address + new_offset] = cells[old_address + old_offset]
+            steps = 4 * len(plan) + 1
+            vm.interpreter.instructions_executed += steps
+            clock.instruction(steps)
+            if vm.lazy_barrier is not None:
+                clock.tick(costs.lazy_barrier_check * 2 * len(plan))
+            vm.metrics.inc("dsu.transformer_plan_copies")
+        vm.metrics.inc("dsu.transformer_invocations")
 
     def _transform_object(self, active: _ActiveUpdate, old_address: int,
                           new_address: int) -> None:

@@ -42,7 +42,8 @@ class CostModel:
     #: DSU: reflective lookup of the jvolveObject transformer, per object
     transform_dispatch: int = 12
     #: DSU: reflective field-by-field copy, per field (on top of the
-    #: interpreted transformer body's own instruction costs)
+    #: transformer body's own instruction costs, charged alike whether
+    #: the body runs as a field-copy plan or interpreted)
     transform_field: int = 1
     #: DSU lazy mode: per read-barrier check while an epoch is open (a
     #: status-header load and compare on the touched reference)
