@@ -993,7 +993,8 @@ class UpdateEngine:
         tracer = vm.tracer
         stats = active.gc_stats
         vm.force_transform_hook = self._force_transform
-        vm.transform_read_barrier = self.auto_read_barrier
+        if self.auto_read_barrier:
+            vm.interpreter.arm_auto_barrier(self._force_transform)
         try:
             with tracer.span("dsu.transform.classes", "dsu"):
                 for name in sorted(active.prepared.spec.class_updates):
@@ -1014,7 +1015,7 @@ class UpdateEngine:
             span.args["objects"] = stats.objects_updated
         finally:
             vm.force_transform_hook = None
-            vm.transform_read_barrier = False
+            vm.interpreter.disarm_auto_barrier()
 
     def _cleanup(self, active: _ActiveUpdate, span) -> None:
         """Clear cached old-version pointers, retire old statics, and
@@ -1215,7 +1216,7 @@ class UpdateEngine:
             steps = 4 * len(plan) + 1
             vm.interpreter.instructions_executed += steps
             clock.instruction(steps)
-            if vm.lazy_barrier is not None:
+            if vm.interpreter.lazy_barrier_armed:
                 clock.tick(costs.lazy_barrier_check * 2 * len(plan))
             vm.metrics.inc("dsu.transformer_plan_copies")
         vm.metrics.inc("dsu.transformer_invocations")

@@ -98,7 +98,7 @@ class LazyEpoch:
             for old_id in self.new_class_by_old_id
         )
         self.armed = True
-        vm.lazy_barrier = self.barrier
+        vm.interpreter.arm_lazy_barrier(self.barrier, self.new_class_by_old_id)
         # Idle scheduler slices drain the epoch instead of just advancing
         # the clock: the hook is called with the slice's target time.
         vm.idle_work_hook = partial(self.sweep, "idle")
@@ -110,7 +110,7 @@ class LazyEpoch:
         vm.metrics.inc("dsu.lazy.epochs_opened")
 
     def _disarm(self) -> None:
-        self.vm.lazy_barrier = None
+        self.vm.interpreter.disarm_lazy_barrier()
         self.vm.idle_work_hook = None
         self.armed = False
         self._in_progress.clear()
@@ -165,8 +165,10 @@ class LazyEpoch:
     # the read barrier
 
     def barrier(self, frame, slot: int, heal_only: bool = False) -> None:
-        """The interpreter read barrier (``vm.lazy_barrier``): called with
-        an operand-stack (or receiver) ``slot`` about to be dereferenced.
+        """The interpreter read barrier's slow path (armed by
+        :meth:`repro.vm.interpreter.Interpreter.arm_lazy_barrier`): called
+        with an operand-stack (or receiver) ``slot`` about to be
+        dereferenced that holds a forwarded or pending-class object.
         Chases same-space forwarding left by earlier transforms — healing
         only the stack slot, never heap cells — and transforms a still-
         pending changed-class object on the spot.

@@ -30,9 +30,9 @@ class Frame:
     def __init__(self, code: CompiledMethod, arg_values: List[int], arg_cells: int = 0):
         self.code = code
         self.pc = 0
-        self.locals: List[int] = list(arg_values)
-        while len(self.locals) < code.max_locals:
-            self.locals.append(0)
+        self.locals: List[int] = list(arg_values) + [0] * (
+            code.max_locals - len(arg_values)
+        )
         self.stack: List[int] = []
         #: how many caller stack slots (receiver + args) this call consumed;
         #: popped by the caller when this frame returns

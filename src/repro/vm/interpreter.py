@@ -10,19 +10,48 @@ GC discipline: an instruction must not mutate the operand stack before its
 last potential allocation, so that a collection triggered mid-instruction
 still sees the operand stack exactly as the verifier's type state at the
 current pc describes it.
+
+Dispatch. A :class:`~repro.vm.machinecode.CompiledMethod` is decoded once,
+on its first execution, into a flat per-pc list of ``(opcode, operand)``
+pairs (:func:`decode`): the opcode is an index into :data:`OPCODE_NAMES`,
+the operand is what the handler needs, already pulled out of the
+:class:`~repro.bytecode.instructions.Instr`. The decoded form is cached on
+that CompiledMethod, so new code (a recompile, an update, an OSR swap)
+brings its own and nothing needs invalidating. It holds no heap address:
+a ``CONST_STR`` keeps its text and looks the intern up when it runs.
+
+Each VM's interpreter owns a handler table, one function per opcode
+(:data:`OPCODE_NAMES` order, then the trap for an undecodable op), called
+as ``handler(thread, frame, stack, pc, operand)``. A handler returns the
+next pc, or ``None`` when the instruction was a yield point (a call, a
+return, a back edge, a native) — it has then stored ``frame.pc`` itself.
+:meth:`Interpreter.run_thread` keeps the frame, its decoded code, its
+operand stack and its pc in locals and re-reads them only after a
+``None``, so ``frame.pc`` lags while straight-line code runs. Every handler
+that lets the VM look at the frame — an allocation (the collector reads
+the stack map at ``frame.pc``), a call, a native, a barrier slow path —
+stores ``frame.pc = pc`` first.
+
+Barriers are table swaps. :meth:`Interpreter.arm_lazy_barrier` (a lazy
+epoch opening) replaces the six barrier sites with armed variants, and
+:meth:`Interpreter.arm_auto_barrier` (the transform phase's automatic read
+barrier) replaces GETFIELD; disarming puts the plain entries back, so a
+disarmed VM tests no barrier slot at all.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from .heap import NULL
-from .machinecode import MethodEntry
+from ..bytecode.instructions import OPCODES, Instr
+from .frames import Frame
+from .heap import HEADER_STATUS, HEADER_TIB, NULL
 from .natives import Block, NativeContext, lookup_native
 from .objectmodel import VMTrap
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .frames import Frame, VMThread
+    from .frames import VMThread
+    from .machinecode import CompiledMethod
     from .vm import VM
 
 #: reasons run_thread returns
@@ -32,6 +61,54 @@ BLOCKED = "blocked"
 THREAD_DIED = "died"
 VM_HALTED = "halted"
 
+#: the decoded opcode of each instruction-set member is its index here
+OPCODE_NAMES: Tuple[str, ...] = tuple(sorted(OPCODES))
+OPCODE: Dict[str, int] = {name: index for index, name in enumerate(OPCODE_NAMES)}
+#: the decoded opcode of anything else: its handler raises when it runs
+UNKNOWN = len(OPCODE_NAMES)
+
+#: the instructions that dereference a reference a lazy epoch may have
+#: left pending or forwarded
+LAZY_BARRIER_SITES = ("GETFIELD", "PUTFIELD", "REF_EQ", "CHECKCAST",
+                      "INSTANCEOF", "INVOKEVIRTUAL")
+
+Handler = Callable[..., Optional[int]]
+Decoded = List[Tuple[int, object]]
+
+
+#: how :func:`decode` pulls an operand out of an ``Instr`` (default: ``a``)
+_OPERANDS: Dict[str, Callable[[Instr], object]] = {
+    "CONST_BOOL": lambda instr: 1 if instr.a else 0,
+    "CONST_NULL": lambda instr: NULL,
+    "INVOKEVIRTUAL": lambda instr: (instr.a, instr.b),
+    "INVOKESTATIC": lambda instr: (instr.a, instr.b),
+    "INVOKESPECIAL": lambda instr: (instr.a, instr.b),
+    # (native name, argc, has a result)
+    "INVOKENATIVE": lambda instr: (instr.a, instr.b[0], instr.b[1] != "V"),
+    # has a return value
+    "RETURN": lambda instr: False,
+    "RETURN_VALUE": lambda instr: True,
+}
+
+
+def decode(code: "CompiledMethod") -> Decoded:
+    """Decode ``code`` for dispatch and cache the result on it. An op
+    outside the instruction set keeps its name as the operand of the
+    unknown-op trap."""
+    decoded: Decoded = []
+    for instr in code.instructions:
+        opcode = OPCODE.get(instr.op, UNKNOWN)
+        shape = _OPERANDS.get(instr.op)
+        if opcode == UNKNOWN:
+            operand: object = instr.op
+        elif shape is None:
+            operand = instr.a
+        else:
+            operand = shape(instr)
+        decoded.append((opcode, operand))
+    code.decoded = decoded
+    return decoded
+
 
 class Interpreter:
     """Executes one thread at a time against the shared VM state."""
@@ -39,6 +116,53 @@ class Interpreter:
     def __init__(self, vm: "VM"):
         self.vm = vm
         self.instructions_executed = 0
+        handlers = _plain_handlers(vm)
+        #: the disarmed table, in :data:`OPCODE_NAMES` order plus the trap
+        self.plain: Tuple[Handler, ...] = tuple(
+            handlers[name] for name in OPCODE_NAMES
+        ) + (handlers[None],)
+        #: the table run_thread dispatches through; barriers swap entries
+        #: in place
+        self.handlers: List[Handler] = list(self.plain)
+        self.lazy_barrier_armed = False
+
+    # ------------------------------------------------------------------
+    # barrier arming
+
+    def arm_lazy_barrier(self, barrier: Callable[..., None],
+                         pending: Dict[int, object]) -> None:
+        """Swap the armed variants in at the six barrier sites.
+
+        ``barrier(frame, slot, heal_only=False)`` is the epoch's slow path
+        (:meth:`repro.dsu.lazy.LazyEpoch.barrier`); ``pending`` maps each
+        pending old class id to its new class. An armed site charges the
+        one ``lazy_barrier_check`` tick inline when its reference is
+        non-null, unforwarded and not of a pending class, and calls
+        ``barrier`` only otherwise."""
+        armed = _lazy_barrier_handlers(self.vm, self.plain, barrier, pending)
+        for name in LAZY_BARRIER_SITES:
+            self.handlers[OPCODE[name]] = armed[name]
+        self.lazy_barrier_armed = True
+
+    def disarm_lazy_barrier(self) -> None:
+        for name in LAZY_BARRIER_SITES:
+            self.handlers[OPCODE[name]] = self.plain[OPCODE[name]]
+        self.lazy_barrier_armed = False
+
+    def arm_auto_barrier(self, force_transform: Callable[[int], None]) -> None:
+        """The transform phase's automatic read barrier: GETFIELD on an
+        object whose status word is set (a new-version object not yet
+        transformed) calls ``force_transform(address)`` before the read.
+        Never armed while a lazy epoch is: ``submit`` drains any open
+        epoch before an update's transform phase can run."""
+        index = OPCODE["GETFIELD"]
+        self.handlers[index] = _auto_barrier_getfield(
+            self.vm, self.plain[index], force_transform
+        )
+
+    def disarm_auto_barrier(self) -> None:
+        index = OPCODE["GETFIELD"]
+        self.handlers[index] = self.plain[index]
 
     # ------------------------------------------------------------------
     # thread execution
@@ -47,309 +171,93 @@ class Interpreter:
         """Run ``thread`` for up to ``quantum`` instructions.
 
         Returns the park reason; the thread's frames are always left in a
-        safe-point-consistent state.
+        safe-point-consistent state. The quantum is checked at yield points
+        only, and the clock ticks after every instruction.
         """
         vm = self.vm
+        clock = vm.clock
+        cost = clock.costs.instruction
+        handlers = self.handlers
         steps = 0
+        frame: Optional[Frame] = None
+        pc: Optional[int] = None
         try:
             while True:
                 if vm.halted:
                     return VM_HALTED
-                if not thread.frames:
+                frames = thread.frames
+                if not frames:
                     thread.state = thread.DEAD
                     return THREAD_DIED
-                frame = thread.frames[-1]
-                at_yield_point, outcome = self._step(thread, frame)
-                steps += 1
-                self.instructions_executed += 1
-                vm.clock.instruction()
-                if outcome == BLOCKED:
+                frame = frames[-1]
+                code = frame.code
+                decoded = code.decoded
+                if decoded is None:
+                    decoded = decode(code)
+                stack = frame.stack
+                pc = frame.pc
+                while pc is not None:
+                    opcode, operand = decoded[pc]
+                    pc = handlers[opcode](thread, frame, stack, pc, operand)
+                    steps += 1
+                    clock.cycles += cost
+                # A yield point, or a native that blocked.
+                if thread.state == thread.BLOCKED:
                     return BLOCKED
-                if at_yield_point:
-                    if vm.yield_flag or vm.yield_requested:
-                        vm.yield_requested = False
-                        return PARKED_AT_YIELD
-                    if steps >= quantum:
-                        return RAN_QUANTUM
+                if vm.yield_flag or vm.yield_requested:
+                    vm.yield_requested = False
+                    return PARKED_AT_YIELD
+                if steps >= quantum:
+                    return RAN_QUANTUM
         except VMTrap as trap:
             thread.trap_message = str(trap)
             thread.state = thread.DEAD
             thread.frames.clear()
             vm.record_trap(thread, trap)
             return THREAD_DIED
+        except BaseException:
+            # Leave the frame at the instruction that raised, as a
+            # safe-point-consistent frame always names its current pc.
+            if pc is not None and frame is not None:
+                frame.pc = pc
+            raise
+        finally:
+            self.instructions_executed += steps
 
-    # ------------------------------------------------------------------
-    # single instruction
 
-    def _step(self, thread: "VMThread", frame: "Frame"):
-        """Execute the instruction at ``frame.pc``.
+# ----------------------------------------------------------------------
+# the plain handler table
 
-        Returns ``(at_yield_point, outcome)`` where outcome is ``None`` or
-        ``BLOCKED``.
-        """
-        vm = self.vm
-        code = frame.code.instructions
-        instr = code[frame.pc]
-        op = instr.op
-        stack = frame.stack
 
-        # --- constants / stack manipulation -----------------------------
-        if op == "CONST_INT":
-            stack.append(instr.a)
-        elif op == "CONST_BOOL":
-            stack.append(1 if instr.a else 0)
-        elif op == "CONST_NULL":
-            stack.append(NULL)
-        elif op == "CONST_STR":
-            stack.append(vm.intern_literal(instr.a))
-        elif op == "LOAD":
-            stack.append(frame.locals[instr.a])
-        elif op == "STORE":
-            frame.locals[instr.a] = stack.pop()
-        elif op == "POP":
-            stack.pop()
-        elif op == "DUP":
-            stack.append(stack[-1])
-        elif op == "SWAP":
-            stack[-1], stack[-2] = stack[-2], stack[-1]
+def _plain_handlers(vm: "VM") -> Dict[Optional[str], Handler]:
+    """One handler per opcode, keyed by name (``None``: the unknown-op
+    trap). The closures capture the VM structures they touch; each is
+    created once and only ever mutated in place."""
+    clock = vm.clock
+    costs = clock.costs
+    cells = vm.heap.cells
+    objects = vm.objects
+    element_cell = objects.element_cell
+    classes = vm.registry.by_id
+    entries = vm.methods.entries
+    statics = vm.jtoc.cells
+    interns = vm.literal_interns
+    jit = vm.jit
 
-        # --- arithmetic --------------------------------------------------
-        elif op == "ADD":
-            right = stack.pop()
-            stack[-1] = stack[-1] + right
-        elif op == "SUB":
-            right = stack.pop()
-            stack[-1] = stack[-1] - right
-        elif op == "MUL":
-            right = stack.pop()
-            stack[-1] = stack[-1] * right
-        elif op == "DIV":
-            right = stack.pop()
-            if right == 0:
-                raise VMTrap("division by zero")
-            stack[-1] = int(stack[-1] / right)  # truncate toward zero
-        elif op == "MOD":
-            right = stack.pop()
-            if right == 0:
-                raise VMTrap("modulo by zero")
-            left = stack[-1]
-            stack[-1] = left - int(left / right) * right
-        elif op == "NEG":
-            stack[-1] = -stack[-1]
-        elif op == "EQ":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] == right else 0
-        elif op == "NE":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] != right else 0
-        elif op == "LT":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] < right else 0
-        elif op == "LE":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] <= right else 0
-        elif op == "GT":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] > right else 0
-        elif op == "GE":
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] >= right else 0
-        elif op == "NOT":
-            stack[-1] = 0 if stack[-1] else 1
+    # --- call machinery -------------------------------------------------
 
-        # --- strings (allocation-careful: peek, allocate, then pop) ------
-        elif op == "I2S":
-            text = str(stack[-1])
-            address = vm.allocate_string(text)
-            stack[-1] = address
-        elif op == "B2S":
-            text = "true" if stack[-1] else "false"
-            address = vm.allocate_string(text)
-            stack[-1] = address
-        elif op == "SCONCAT":
-            left = vm.objects.string_payload(stack[-2]) if stack[-2] != NULL else "null"
-            right = vm.objects.string_payload(stack[-1]) if stack[-1] != NULL else "null"
-            address = vm.allocate_string(left + right)
-            stack.pop()
-            stack[-1] = address
-        elif op == "SEQ":
-            right = stack.pop()
-            left = stack[-1]
-            if left == NULL or right == NULL:
-                stack[-1] = 1 if left == right else 0
-            else:
-                stack[-1] = (
-                    1
-                    if vm.objects.string_payload(left) == vm.objects.string_payload(right)
-                    else 0
-                )
-        elif op == "REF_EQ":
-            if vm.lazy_barrier is not None:
-                # Identity must be forwarding-blind during a lazy epoch:
-                # canonicalize both operands (heal, never transform).
-                vm.lazy_barrier(frame, -1, heal_only=True)
-                vm.lazy_barrier(frame, -2, heal_only=True)
-            right = stack.pop()
-            stack[-1] = 1 if stack[-1] == right else 0
-
-        # --- heap access --------------------------------------------------
-        elif op == "NEW":
-            rvmclass = vm.registry.by_class_id(instr.a)
-            stack.append(vm.allocate_object(rvmclass))
-        elif op == "NEWARRAY":
-            array_class = vm.registry.by_class_id(instr.a)
-            length = stack[-1]
-            address = vm.allocate_array(array_class, length)
-            stack[-1] = address
-        elif op == "GETFIELD":
-            if vm.lazy_barrier is not None:
-                vm.lazy_barrier(frame, -1)
-            address = stack.pop()
-            if vm.transform_read_barrier:
-                vm.maybe_force_transform(address)
-            stack.append(vm.objects.read_cell(address, instr.a))
-        elif op == "PUTFIELD":
-            if vm.lazy_barrier is not None:
-                vm.lazy_barrier(frame, -2)
-            value = stack.pop()
-            address = stack.pop()
-            vm.objects.write_cell(address, instr.a, value)
-        elif op == "GETSTATIC":
-            stack.append(vm.jtoc.read(instr.a))
-        elif op == "PUTSTATIC":
-            vm.jtoc.write(instr.a, stack.pop())
-        elif op == "ALOAD":
-            index = stack.pop()
-            address = stack.pop()
-            stack.append(vm.objects.array_get(address, index))
-        elif op == "ASTORE":
-            value = stack.pop()
-            index = stack.pop()
-            address = stack.pop()
-            vm.objects.array_set(address, index, value)
-        elif op == "ARRAYLENGTH":
-            stack[-1] = vm.objects.array_length(stack[-1])
-        elif op == "CHECKCAST":
-            if vm.lazy_barrier is not None:
-                # Type tests need the *new* class: a pending object still
-                # carries its renamed old class, which is an instance of
-                # nothing the program can name.
-                vm.lazy_barrier(frame, -1)
-            vm.objects.checkcast(stack[-1], instr.a)
-        elif op == "INSTANCEOF":
-            if vm.lazy_barrier is not None:
-                vm.lazy_barrier(frame, -1)
-            stack[-1] = 1 if vm.objects.is_instance(stack[-1], instr.a) else 0
-
-        # --- control flow -------------------------------------------------
-        elif op == "JUMP":
-            target = instr.a
-            if target <= frame.pc:  # back edge: yield point
-                frame.pc = target
-                return True, None
-            frame.pc = target
-            return False, None
-        elif op == "JUMP_IF_FALSE":
-            if stack.pop() == 0:
-                frame.pc = instr.a
-                return False, None
-        elif op == "JUMP_IF_TRUE":
-            if stack.pop() != 0:
-                frame.pc = instr.a
-                return False, None
-
-        # --- calls ----------------------------------------------------------
-        elif op == "INVOKEVIRTUAL":
-            return self._invoke_virtual(thread, frame, instr.a, instr.b)
-        elif op == "INVOKESTATIC":
-            return self._invoke_entry(thread, frame, instr.a, instr.b, instr.b)
-        elif op == "INVOKESPECIAL":
-            return self._invoke_entry(thread, frame, instr.a, instr.b, instr.b)
-        elif op == "INVOKENATIVE":
-            argc, return_descriptor = instr.b
-            return self._invoke_native(
-                thread, frame, instr.a, argc, return_descriptor != "V"
-            )
-        elif op == "RETURN":
-            self._pop_frame(thread, frame, None)
-            return True, None
-        elif op == "RETURN_VALUE":
-            self._pop_frame(thread, frame, stack[-1])
-            return True, None
-        else:
-            raise VMTrap(f"unknown opcode {op}")
-
-        frame.pc += 1
-        return False, None
-
-    # ------------------------------------------------------------------
-    # call machinery
-
-    def _invoke_virtual(self, thread, frame, tib_slot: int, argc: int):
-        vm = self.vm
-        if vm.lazy_barrier is not None:
-            # Virtual dispatch reads the receiver's TIB: a pending object's
-            # renamed old class has an invalidated TIB, so transform first.
-            vm.lazy_barrier(frame, -argc - 1)
-        receiver = frame.stack[-argc - 1]
-        if receiver == NULL:
-            raise VMTrap("null receiver in virtual call")
-        rvmclass = vm.objects.class_of(receiver)
-        tib = rvmclass.tib
-        entry = tib.methods[tib_slot]
-        # Count every dispatch (a warm TIB cache must not hide hotness from
-        # the adaptive system) and refresh the cache when the entry's
-        # active code changed (invalidation or tier promotion).
-        jit = vm.jit
-        jit.count_invocation(entry)
-        jit.maybe_optimize(entry)
-        code = tib.code[tib_slot]
-        if code is None or code is not entry.active_code():
-            code = jit.ensure_compiled(entry)
-            tib.code[tib_slot] = code
-        if entry.info.is_native:
-            native_name = f"{entry.owner.name}.{entry.info.name}"
-            return self._invoke_native(
-                thread, frame, native_name, argc + 1, not entry.info.descriptor.endswith("V")
-            )
-        return self._push_frame(thread, frame, code, argc + 1)
-
-    def _invoke_entry(self, thread, frame, entry_id: int, argc: int, _):
-        vm = self.vm
-        entry = vm.methods.by_id(entry_id)
-        if entry.obsolete:
-            raise VMTrap(f"call to obsolete method {entry.qualified_name}")
-        if entry.info.is_native:
-            native_name = f"{entry.owner.name}.{entry.info.name}"
-            return self._invoke_native(
-                thread,
-                frame,
-                native_name,
-                argc,
-                not entry.info.descriptor.endswith("V"),
-            )
-        code = self._prepare_code(entry)
-        return self._push_frame(thread, frame, code, argc)
-
-    def _prepare_code(self, entry: MethodEntry):
-        jit = self.vm.jit
-        jit.count_invocation(entry)
-        jit.maybe_optimize(entry)
-        return jit.ensure_compiled(entry)
-
-    def _push_frame(self, thread, caller: "Frame", code, arg_cells: int):
-        from .frames import Frame
-
-        if len(thread.frames) >= self.vm.max_stack_depth:
+    def push_frame(thread, stack, code, arg_cells):
+        frames = thread.frames
+        if len(frames) >= vm.max_stack_depth:
             raise VMTrap("stack overflow")
-        args = caller.stack[-arg_cells:] if arg_cells else []
-        frame = Frame(code, args, arg_cells)
-        thread.frames.append(frame)
+        frames.append(Frame(code, stack[-arg_cells:] if arg_cells else [],
+                            arg_cells))
         # Method entry is a yield point; the caller's pc stays at the call.
-        return True, None
+        return None
 
-    def _pop_frame(self, thread, frame: "Frame", return_value):
-        vm = self.vm
+    def return_(thread, frame, stack, pc, has_value):
+        frame.pc = pc  # the return hooks see the frame as it was
+        return_value = stack[-1] if has_value else None
         thread.frames.pop()
         if frame.return_barrier:
             vm.on_return_barrier(thread, frame)
@@ -365,7 +273,7 @@ class Interpreter:
         if thread.frames:
             caller = thread.frames[-1]
             if frame.arg_cells:
-                del caller.stack[-frame.arg_cells :]
+                del caller.stack[-frame.arg_cells:]
             if return_value is not None:
                 caller.stack.append(return_value)
             caller.pc += 1
@@ -373,11 +281,11 @@ class Interpreter:
             thread.state = thread.DEAD
             if return_value is not None:
                 thread.result = return_value
+        return None
 
-    def _invoke_native(self, thread, frame, native_name: str, argc: int, has_result: bool):
-        vm = self.vm
+    def invoke_native(thread, frame, stack, native_name, argc, has_result):
         fn = lookup_native(native_name)
-        args = frame.stack[-argc:] if argc else []
+        args = stack[-argc:] if argc else []
         context = NativeContext(vm, thread)
         try:
             result = fn(context, args)
@@ -388,13 +296,437 @@ class Interpreter:
             thread.wake_condition = result.wake_condition
             thread.wake_at_ms = result.wake_at_ms
             # pc unchanged: the native re-executes on wake.
-            return True, BLOCKED
-        vm.clock.tick(vm.clock.costs.native_call)
+            return None
+        clock.cycles += costs.native_call
         if argc:
-            del frame.stack[-argc:]
+            del stack[-argc:]
         if has_result:
-            frame.stack.append(result)
+            stack.append(result)
         frame.pc += 1
         # Native-call completion is a yield point (this is also what makes
         # Sys.yield take effect immediately).
-        return True, None
+        return None
+
+    def invoke_entry_native(thread, frame, stack, entry, argc):
+        info = entry.info
+        return invoke_native(thread, frame, stack,
+                             f"{entry.owner.name}.{info.name}", argc,
+                             not info.descriptor.endswith("V"))
+
+    # --- constants / stack manipulation ----------------------------------
+
+    def push(thread, frame, stack, pc, value):
+        stack.append(value)
+        return pc + 1
+
+    def const_str(thread, frame, stack, pc, text):
+        address = interns.get(text)
+        if not address:  # not interned yet, or NULL
+            frame.pc = pc
+            address = vm.intern_literal(text)
+        stack.append(address)
+        return pc + 1
+
+    def load(thread, frame, stack, pc, slot):
+        stack.append(frame.locals[slot])
+        return pc + 1
+
+    def store(thread, frame, stack, pc, slot):
+        frame.locals[slot] = stack.pop()
+        return pc + 1
+
+    def pop(thread, frame, stack, pc, _):
+        stack.pop()
+        return pc + 1
+
+    def dup(thread, frame, stack, pc, _):
+        stack.append(stack[-1])
+        return pc + 1
+
+    def swap(thread, frame, stack, pc, _):
+        stack[-1], stack[-2] = stack[-2], stack[-1]
+        return pc + 1
+
+    # --- arithmetic ---------------------------------------------------------
+
+    def add(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = stack[-1] + right
+        return pc + 1
+
+    def sub(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = stack[-1] - right
+        return pc + 1
+
+    def mul(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = stack[-1] * right
+        return pc + 1
+
+    def div(thread, frame, stack, pc, _):
+        right = stack.pop()
+        if right == 0:
+            raise VMTrap("division by zero")
+        stack[-1] = int(stack[-1] / right)  # truncate toward zero
+        return pc + 1
+
+    def mod(thread, frame, stack, pc, _):
+        right = stack.pop()
+        if right == 0:
+            raise VMTrap("modulo by zero")
+        left = stack[-1]
+        stack[-1] = left - int(left / right) * right
+        return pc + 1
+
+    def neg(thread, frame, stack, pc, _):
+        stack[-1] = -stack[-1]
+        return pc + 1
+
+    def eq(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = 1 if stack[-1] == right else 0
+        return pc + 1
+
+    def ne(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = 1 if stack[-1] != right else 0
+        return pc + 1
+
+    def lt(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = 1 if stack[-1] < right else 0
+        return pc + 1
+
+    def le(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = 1 if stack[-1] <= right else 0
+        return pc + 1
+
+    def gt(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = 1 if stack[-1] > right else 0
+        return pc + 1
+
+    def ge(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = 1 if stack[-1] >= right else 0
+        return pc + 1
+
+    def not_(thread, frame, stack, pc, _):
+        stack[-1] = 0 if stack[-1] else 1
+        return pc + 1
+
+    # --- strings (allocation-careful: peek, allocate, then pop) ------------
+
+    def i2s(thread, frame, stack, pc, _):
+        frame.pc = pc
+        stack[-1] = vm.allocate_string(str(stack[-1]))
+        return pc + 1
+
+    def b2s(thread, frame, stack, pc, _):
+        frame.pc = pc
+        stack[-1] = vm.allocate_string("true" if stack[-1] else "false")
+        return pc + 1
+
+    def sconcat(thread, frame, stack, pc, _):
+        frame.pc = pc
+        left = objects.string_payload(stack[-2]) if stack[-2] != NULL else "null"
+        right = objects.string_payload(stack[-1]) if stack[-1] != NULL else "null"
+        address = vm.allocate_string(left + right)
+        stack.pop()
+        stack[-1] = address
+        return pc + 1
+
+    def seq(thread, frame, stack, pc, _):
+        right = stack.pop()
+        left = stack[-1]
+        if left == NULL or right == NULL:
+            stack[-1] = 1 if left == right else 0
+        else:
+            stack[-1] = (
+                1
+                if objects.string_payload(left) == objects.string_payload(right)
+                else 0
+            )
+        return pc + 1
+
+    def ref_eq(thread, frame, stack, pc, _):
+        right = stack.pop()
+        stack[-1] = 1 if stack[-1] == right else 0
+        return pc + 1
+
+    # --- heap access --------------------------------------------------------
+
+    def new(thread, frame, stack, pc, class_id):
+        frame.pc = pc
+        stack.append(vm.allocate_object(classes[class_id]))
+        return pc + 1
+
+    def newarray(thread, frame, stack, pc, class_id):
+        frame.pc = pc
+        stack[-1] = vm.allocate_array(classes[class_id], stack[-1])
+        return pc + 1
+
+    def getfield(thread, frame, stack, pc, offset):
+        address = stack[-1]
+        if address == NULL:
+            raise VMTrap("null dereference")
+        stack[-1] = cells[address + offset]
+        return pc + 1
+
+    def putfield(thread, frame, stack, pc, offset):
+        value = stack.pop()
+        address = stack.pop()
+        if address == NULL:
+            raise VMTrap("null dereference")
+        cells[address + offset] = value
+        return pc + 1
+
+    def getstatic(thread, frame, stack, pc, index):
+        stack.append(statics[index])
+        return pc + 1
+
+    def putstatic(thread, frame, stack, pc, index):
+        statics[index] = stack.pop()
+        return pc + 1
+
+    def aload(thread, frame, stack, pc, _):
+        index = stack.pop()
+        stack[-1] = cells[element_cell(stack[-1], index)]
+        return pc + 1
+
+    def astore(thread, frame, stack, pc, _):
+        value = stack.pop()
+        index = stack.pop()
+        cells[element_cell(stack.pop(), index)] = value
+        return pc + 1
+
+    def arraylength(thread, frame, stack, pc, _):
+        stack[-1] = objects.array_length(stack[-1])
+        return pc + 1
+
+    def checkcast(thread, frame, stack, pc, descriptor):
+        objects.checkcast(stack[-1], descriptor)
+        return pc + 1
+
+    def instanceof(thread, frame, stack, pc, descriptor):
+        stack[-1] = 1 if objects.is_instance(stack[-1], descriptor) else 0
+        return pc + 1
+
+    # --- control flow -------------------------------------------------------
+
+    def jump(thread, frame, stack, pc, target):
+        if target <= pc:  # back edge: yield point
+            frame.pc = target
+            return None
+        return target
+
+    def jump_if_false(thread, frame, stack, pc, target):
+        return target if stack.pop() == 0 else pc + 1
+
+    def jump_if_true(thread, frame, stack, pc, target):
+        return target if stack.pop() != 0 else pc + 1
+
+    # --- calls ----------------------------------------------------------------
+
+    def invokevirtual(thread, frame, stack, pc, operand):
+        tib_slot, argc = operand
+        receiver = stack[-argc - 1]
+        if receiver == NULL:
+            raise VMTrap("null receiver in virtual call")
+        frame.pc = pc
+        tib = classes[cells[receiver + HEADER_TIB]].tib
+        entry = tib.methods[tib_slot]
+        # Refresh the TIB's code cache when the entry's active code changed
+        # (invalidation or tier promotion).
+        code = jit.code_for_call(entry)
+        if tib.code[tib_slot] is not code:
+            tib.code[tib_slot] = code
+        if entry.info.is_native:
+            return invoke_entry_native(thread, frame, stack, entry, argc + 1)
+        return push_frame(thread, stack, code, argc + 1)
+
+    def invoke_entry(thread, frame, stack, pc, operand):
+        entry_id, argc = operand
+        entry = entries[entry_id]
+        if entry.obsolete:
+            raise VMTrap(f"call to obsolete method {entry.qualified_name}")
+        frame.pc = pc
+        if entry.info.is_native:
+            return invoke_entry_native(thread, frame, stack, entry, argc)
+        return push_frame(thread, stack, jit.code_for_call(entry), argc)
+
+    def invokenative(thread, frame, stack, pc, operand):
+        native_name, argc, has_result = operand
+        frame.pc = pc
+        return invoke_native(thread, frame, stack, native_name, argc,
+                             has_result)
+
+    def unknown(thread, frame, stack, pc, op):
+        raise VMTrap(f"unknown opcode {op}")
+
+    return {
+        "CONST_INT": push, "CONST_BOOL": push, "CONST_NULL": push,
+        "CONST_STR": const_str, "LOAD": load, "STORE": store, "POP": pop,
+        "DUP": dup, "SWAP": swap,
+        "ADD": add, "SUB": sub, "MUL": mul, "DIV": div, "MOD": mod,
+        "NEG": neg, "EQ": eq, "NE": ne, "LT": lt, "LE": le, "GT": gt,
+        "GE": ge, "NOT": not_,
+        "I2S": i2s, "B2S": b2s, "SCONCAT": sconcat, "SEQ": seq,
+        "REF_EQ": ref_eq,
+        "NEW": new, "NEWARRAY": newarray, "GETFIELD": getfield,
+        "PUTFIELD": putfield, "GETSTATIC": getstatic,
+        "PUTSTATIC": putstatic, "ALOAD": aload, "ASTORE": astore,
+        "ARRAYLENGTH": arraylength, "CHECKCAST": checkcast,
+        "INSTANCEOF": instanceof,
+        "JUMP": jump, "JUMP_IF_FALSE": jump_if_false,
+        "JUMP_IF_TRUE": jump_if_true,
+        "INVOKEVIRTUAL": invokevirtual, "INVOKESTATIC": invoke_entry,
+        "INVOKESPECIAL": invoke_entry, "INVOKENATIVE": invokenative,
+        "RETURN": return_, "RETURN_VALUE": return_,
+        None: unknown,
+    }
+
+
+# ----------------------------------------------------------------------
+# armed variants
+
+
+def _after_program_code(vm: "VM", frame: Frame, next_pc: int) -> Optional[int]:
+    """A barrier slow path may run program code (a transformer). Had that
+    halted the VM, the quantum ends right after this instruction, as it
+    would at the next instruction boundary."""
+    if vm.halted:
+        frame.pc = next_pc
+        return None
+    return next_pc
+
+
+def _lazy_barrier_handlers(vm: "VM", plain: Tuple[Handler, ...],
+                           barrier: Callable[..., None],
+                           pending: Dict[int, object]) -> Dict[str, Handler]:
+    """The six barrier sites with the epoch's read barrier in front.
+
+    The common case is inlined: a NULL reference costs nothing (the
+    barrier never charges for one), and an unforwarded reference of a
+    class that is not pending costs the one ``lazy_barrier_check`` tick.
+    Anything else — a forwarding word to chase, a pending object to
+    transform — calls ``barrier``, which charges that tick itself, and
+    then runs the instruction on the healed slot."""
+    clock = vm.clock
+    check = clock.costs.lazy_barrier_check
+    cells = vm.heap.cells
+    objects = vm.objects
+    plain_invokevirtual = plain[OPCODE["INVOKEVIRTUAL"]]
+
+    def getfield(thread, frame, stack, pc, offset):
+        address = stack[-1]
+        if address == NULL:
+            raise VMTrap("null dereference")
+        if cells[address + HEADER_STATUS] or cells[address + HEADER_TIB] in pending:
+            frame.pc = pc
+            barrier(frame, -1)
+            stack[-1] = cells[stack[-1] + offset]
+            return _after_program_code(vm, frame, pc + 1)
+        clock.cycles += check
+        stack[-1] = cells[address + offset]
+        return pc + 1
+
+    def putfield(thread, frame, stack, pc, offset):
+        address = stack[-2]
+        if address == NULL:
+            raise VMTrap("null dereference")
+        if cells[address + HEADER_STATUS] or cells[address + HEADER_TIB] in pending:
+            frame.pc = pc
+            barrier(frame, -2)
+            value = stack.pop()
+            cells[stack.pop() + offset] = value
+            return _after_program_code(vm, frame, pc + 1)
+        clock.cycles += check
+        cells[address + offset] = stack.pop()
+        del stack[-1]
+        return pc + 1
+
+    # Type tests need the *new* class: a pending object still carries its
+    # renamed old class, which is an instance of nothing the program can
+    # name.
+    def checkcast(thread, frame, stack, pc, descriptor):
+        address = stack[-1]
+        if address != NULL:
+            if cells[address + HEADER_STATUS] or cells[address + HEADER_TIB] in pending:
+                frame.pc = pc
+                barrier(frame, -1)
+                objects.checkcast(stack[-1], descriptor)
+                return _after_program_code(vm, frame, pc + 1)
+            clock.cycles += check
+        objects.checkcast(address, descriptor)
+        return pc + 1
+
+    def instanceof(thread, frame, stack, pc, descriptor):
+        address = stack[-1]
+        if address != NULL:
+            if cells[address + HEADER_STATUS] or cells[address + HEADER_TIB] in pending:
+                frame.pc = pc
+                barrier(frame, -1)
+                stack[-1] = 1 if objects.is_instance(stack[-1], descriptor) else 0
+                return _after_program_code(vm, frame, pc + 1)
+            clock.cycles += check
+        stack[-1] = 1 if objects.is_instance(address, descriptor) else 0
+        return pc + 1
+
+    def ref_eq(thread, frame, stack, pc, _):
+        # Identity must be forwarding-blind during a lazy epoch:
+        # canonicalize both operands (heal, never transform).
+        for slot in (-1, -2):
+            address = stack[slot]
+            if address != NULL:
+                if cells[address + HEADER_STATUS]:
+                    barrier(frame, slot, heal_only=True)
+                else:
+                    clock.cycles += check
+        right = stack.pop()
+        stack[-1] = 1 if stack[-1] == right else 0
+        return pc + 1
+
+    def invokevirtual(thread, frame, stack, pc, operand):
+        # Virtual dispatch reads the receiver's TIB: a pending object's
+        # renamed old class has an invalidated TIB, so transform first.
+        # The call is a yield point, where the quantum ends if the VM
+        # halted meanwhile.
+        slot = -operand[1] - 1
+        receiver = stack[slot]
+        if receiver != NULL:
+            if (cells[receiver + HEADER_STATUS]
+                    or cells[receiver + HEADER_TIB] in pending):
+                frame.pc = pc
+                barrier(frame, slot)
+            else:
+                clock.cycles += check
+        return plain_invokevirtual(thread, frame, stack, pc, operand)
+
+    return {
+        "GETFIELD": getfield,
+        "PUTFIELD": putfield,
+        "REF_EQ": ref_eq,
+        "CHECKCAST": checkcast,
+        "INSTANCEOF": instanceof,
+        "INVOKEVIRTUAL": invokevirtual,
+    }
+
+
+def _auto_barrier_getfield(vm: "VM", plain_getfield: Handler,
+                           force_transform: Callable[[int], None]) -> Handler:
+    cells = vm.heap.cells
+
+    def getfield(thread, frame, stack, pc, offset):
+        address = stack[-1]
+        if address != NULL and cells[address + HEADER_STATUS] != 0:
+            # Untransformed: the status word caches the old copy.
+            frame.pc = pc
+            force_transform(address)
+            stack[-1] = cells[stack[-1] + offset]
+            return _after_program_code(vm, frame, pc + 1)
+        return plain_getfield(thread, frame, stack, pc, offset)
+
+    return getfield

@@ -54,14 +54,19 @@ class JITCompiler:
             return code
         return self.compile_base(entry)
 
-    def count_invocation(self, entry: MethodEntry) -> None:
+    def code_for_call(self, entry: MethodEntry) -> CompiledMethod:
+        """One invocation of ``entry`` by the interpreter: count it (every
+        dispatch, so a warm TIB cache cannot hide hotness), promote it to
+        the opt tier once hot, and return the code it runs."""
         entry.invocations += 1
-
-    def maybe_optimize(self, entry: MethodEntry) -> None:
-        """Adaptive promotion: recompile hot methods at the opt tier."""
-        if entry.opt_code is None and entry.invocations >= OPT_THRESHOLD:
-            if not entry.info.is_native:
-                self.compile_opt(entry)
+        code = entry.opt_code
+        if code is None:
+            if entry.invocations >= OPT_THRESHOLD and not entry.info.is_native:
+                return self.compile_opt(entry)
+            code = entry.base_code
+            if code is None:
+                code = self.compile_base(entry)
+        return code
 
     # ------------------------------------------------------------------
     # tiers

@@ -43,6 +43,9 @@ class CompiledMethod:
     #: methods whose bodies were inlined into this code (opt tier); a DSU
     #: update to any of them restricts this method too (paper §3.2)
     inlined: FrozenSet[Tuple[str, str, str]] = frozenset()
+    #: the interpreter's dispatch form, decoded on first execution
+    #: (:func:`repro.vm.interpreter.decode`); new code brings its own
+    decoded: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def is_base(self) -> bool:

@@ -158,18 +158,19 @@ class ObjectModel:
             raise VMTrap("null dereference (array length)")
         return self.heap.read(address + ARRAY_LENGTH_OFFSET)
 
-    def _check_index(self, address: int, index: int) -> None:
+    def element_cell(self, address: int, index: int) -> int:
+        """The heap cell of element ``index`` (the interpreter's ALOAD and
+        ASTORE index ``heap.cells`` with it directly)."""
         length = self.array_length(address)
         if not 0 <= index < length:
             raise VMTrap(f"array index {index} out of bounds (length {length})")
+        return address + ARRAY_ELEMS_OFFSET + index
 
     def array_get(self, address: int, index: int) -> int:
-        self._check_index(address, index)
-        return self.heap.read(address + ARRAY_ELEMS_OFFSET + index)
+        return self.heap.read(self.element_cell(address, index))
 
     def array_set(self, address: int, index: int, value: int) -> None:
-        self._check_index(address, index)
-        self.heap.write(address + ARRAY_ELEMS_OFFSET + index, value)
+        self.heap.write(self.element_cell(address, index), value)
 
     # ------------------------------------------------------------------
     # strings

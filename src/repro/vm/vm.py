@@ -61,7 +61,6 @@ class VM:
         self.methods = MethodRegistry()
         self.classfiles: Dict[str, ClassFile] = {}
         self.jit = JITCompiler(self)
-        self.interpreter = Interpreter(self)
         self.collector = SemiSpaceCollector(self)
         self.loader = ClassLoader(self)
 
@@ -78,16 +77,13 @@ class VM:
         self.native_roots: List[List[int]] = []
         self.extra_roots: List[List[int]] = []
         self.sleep_deadlines: Dict[int, tuple] = {}
+        # after everything its handler table captures
+        self.interpreter = Interpreter(self)
 
         self.halted = False
         self.yield_flag = False
         self.yield_requested = False
         self.gc_disabled = False
-        #: set by the DSU engine during the transformation phase when the
-        #: automatic read barrier is enabled (§3.4/§3.5 future work): a
-        #: GETFIELD on a not-yet-transformed new-version object forces its
-        #: transformation first
-        self.transform_read_barrier = False
         self.max_stack_depth = 512
         self.last_gc_stats = None
 
@@ -103,11 +99,6 @@ class VM:
         self.stale_frame_retired_hook: Optional[
             Callable[[VMThread, Frame], None]
         ] = None
-        #: lazy-transformation read barrier, installed while a lazy epoch
-        #: is open: called with ``(frame, stack_slot)`` just before the
-        #: interpreter dereferences the reference in that operand-stack
-        #: slot; heals forwarding and transforms pending objects in place
-        self.lazy_barrier: Optional[Callable[..., None]] = None
         #: background-work hook run inside ``sched.idle`` stalls before the
         #: clock fast-forwards: the lazy epoch's sweep drains here, ticking
         #: the clock itself up to the target time
@@ -201,18 +192,6 @@ class VM:
     def on_return_barrier(self, thread: VMThread, frame: Frame) -> None:
         if self.return_barrier_hook is not None:
             self.return_barrier_hook(thread, frame)
-
-    def maybe_force_transform(self, address: int) -> None:
-        """Transform-phase read barrier: fired before a field read when
-        ``transform_read_barrier`` is set. A non-zero status header on a
-        new-version object means "untransformed; status caches the old
-        copy" — force its transformer before the read observes defaults."""
-        if (
-            self.force_transform_hook is not None
-            and address != NULL
-            and self.objects.status(address) != 0
-        ):
-            self.force_transform_hook(address)
 
     def record_trap(self, thread: VMThread, trap: VMTrap) -> None:
         self.trap_log.append(f"{thread.name}: {trap}")
