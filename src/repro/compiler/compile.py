@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..bytecode.classfile import ClassFile
 from ..lang import ast_nodes as ast
@@ -46,21 +46,6 @@ def compile_program(
     checker.check_program(program)
     codegen = ClassCodegen(symbols, checker, version)
     return {decl.name: codegen.compile_class(decl) for decl in program.classes}
-
-
-def compile_source_with_symbols(
-    source: str,
-    filename: str = "<source>",
-    version: str = "",
-) -> Tuple[Dict[str, ClassFile], ProgramSymbols]:
-    """Like :func:`compile_source` but also returns the symbol table."""
-    program = parse(source, filename)
-    symbols = ProgramSymbols.build(program)
-    checker = TypeChecker(symbols)
-    checker.check_program(program)
-    codegen = ClassCodegen(symbols, checker, version)
-    classfiles = {decl.name: codegen.compile_class(decl) for decl in program.classes}
-    return classfiles, symbols
 
 
 def compile_prelude() -> Dict[str, ClassFile]:

@@ -8,11 +8,10 @@ render uniform ``file:line:col`` diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A position in a jmini source file (1-based line and column)."""
 
     filename: str

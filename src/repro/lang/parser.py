@@ -1,4 +1,5 @@
-"""Recursive-descent parser for jmini.
+"""Recursive-descent parser for jmini, with precedence climbing for binary
+operators.
 
 Class-name-vs-variable ambiguity (``Foo.bar`` as a static access versus
 ``foo.bar`` as a field access) is *not* resolved here; the parser produces
@@ -26,6 +27,14 @@ from .types import (
 )
 
 _ACCESS_MODIFIERS = ("public", "private", "protected")
+_PRIMITIVE_TYPES = {"int": INT, "bool": BOOL, "string": STRING, "void": VOID}
+# Binary operators, loosest first; ``instanceof`` sits with the relational
+# operators.
+_BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3,
+    "<=": 4, ">=": 4, "<": 4, ">": 4, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+_INSTANCEOF_PRECEDENCE = 4
 _EXPR_START_AFTER_CAST = {
     TokenKind.IDENT,
     TokenKind.INT_LITERAL,
@@ -42,10 +51,15 @@ class Parser:
 
     # ------------------------------------------------------------------
     # token utilities
+    #
+    # The EOF token is last and _advance never moves past it, so the current
+    # token is always self._tokens[self._pos], and a token that matched a
+    # punctuation, keyword or identifier is advanced over with _pos += 1.
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        if not offset:
+            return self._tokens[self._pos]
+        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -54,43 +68,49 @@ class Parser:
         return token
 
     def _check_punct(self, punct: str) -> bool:
-        return self._peek().is_punct(punct)
+        token = self._tokens[self._pos]
+        return token.value == punct and token.kind is TokenKind.PUNCT
 
     def _check_keyword(self, word: str) -> bool:
-        return self._peek().is_keyword(word)
+        token = self._tokens[self._pos]
+        return token.value == word and token.kind is TokenKind.KEYWORD
 
     def _match_punct(self, punct: str) -> bool:
-        if self._check_punct(punct):
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.value == punct and token.kind is TokenKind.PUNCT:
+            self._pos += 1
             return True
         return False
 
     def _match_keyword(self, word: str) -> bool:
-        if self._check_keyword(word):
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.value == word and token.kind is TokenKind.KEYWORD:
+            self._pos += 1
             return True
         return False
 
     def _expect_punct(self, punct: str) -> Token:
-        if not self._check_punct(punct):
-            raise ParseError(
-                f"expected {punct!r} but found '{self._peek()}'", self._peek().location
-            )
-        return self._advance()
+        token = self._tokens[self._pos]
+        if token.value != punct or token.kind is not TokenKind.PUNCT:
+            raise ParseError(f"expected {punct!r} but found '{token}'", token.location)
+        self._pos += 1
+        return token
 
     def _expect_keyword(self, word: str) -> Token:
-        if not self._check_keyword(word):
+        token = self._tokens[self._pos]
+        if token.value != word or token.kind is not TokenKind.KEYWORD:
             raise ParseError(
-                f"expected keyword {word!r} but found '{self._peek()}'",
-                self._peek().location,
+                f"expected keyword {word!r} but found '{token}'", token.location
             )
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _expect_ident(self) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not TokenKind.IDENT:
             raise ParseError(f"expected identifier but found '{token}'", token.location)
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _location(self) -> SourceLocation:
         return self._peek().location
@@ -126,18 +146,20 @@ class Parser:
         is_final = False
         is_native = False
         while True:
-            token = self._peek()
-            if token.kind is TokenKind.KEYWORD and token.value in _ACCESS_MODIFIERS:
+            token = self._tokens[self._pos]
+            if token.kind is not TokenKind.KEYWORD:
+                break
+            if token.value in _ACCESS_MODIFIERS:
                 access = token.value
-                self._advance()
-            elif self._match_keyword("static"):
+            elif token.value == "static":
                 is_static = True
-            elif self._match_keyword("final"):
+            elif token.value == "final":
                 is_final = True
-            elif self._match_keyword("native"):
+            elif token.value == "native":
                 is_native = True
             else:
                 break
+            self._pos += 1
         # Constructor: ClassName '('
         if (
             self._peek().kind is TokenKind.IDENT
@@ -210,20 +232,14 @@ class Parser:
     # types
 
     def _parse_type(self) -> Type:
-        token = self._peek()
-        if self._match_keyword("int"):
-            base: Type = INT
-        elif self._match_keyword("bool"):
-            base = BOOL
-        elif self._match_keyword("string"):
-            base = STRING
-        elif self._match_keyword("void"):
-            base = VOID
-        elif token.kind is TokenKind.IDENT:
-            self._advance()
+        token = self._tokens[self._pos]
+        if token.kind is TokenKind.IDENT:
             base = class_type(token.value)
+        elif token.kind is TokenKind.KEYWORD and token.value in _PRIMITIVE_TYPES:
+            base = _PRIMITIVE_TYPES[token.value]
         else:
             raise ParseError(f"expected a type but found '{token}'", token.location)
+        self._pos += 1
         while self._check_punct("[") and self._peek(1).is_punct("]"):
             self._advance()
             self._advance()
@@ -254,38 +270,40 @@ class Parser:
         return ast.Block(location, statements)
 
     def _parse_statement(self) -> ast.Stmt:
-        location = self._location()
+        token = self._tokens[self._pos]
+        location = token.location
         if self._check_punct("{"):
             return self._parse_block()
-        if self._match_keyword("if"):
-            self._expect_punct("(")
-            condition = self._parse_expression()
-            self._expect_punct(")")
-            then_branch = self._parse_statement()
-            else_branch = None
-            if self._match_keyword("else"):
-                else_branch = self._parse_statement()
-            return ast.If(location, condition, then_branch, else_branch)
-        if self._match_keyword("while"):
-            self._expect_punct("(")
-            condition = self._parse_expression()
-            self._expect_punct(")")
-            body = self._parse_statement()
-            return ast.While(location, condition, body)
-        if self._match_keyword("for"):
-            return self._parse_for(location)
-        if self._match_keyword("return"):
-            value = None
-            if not self._check_punct(";"):
-                value = self._parse_expression()
-            self._expect_punct(";")
-            return ast.Return(location, value)
-        if self._match_keyword("break"):
-            self._expect_punct(";")
-            return ast.Break(location)
-        if self._match_keyword("continue"):
-            self._expect_punct(";")
-            return ast.Continue(location)
+        if token.kind is TokenKind.KEYWORD:
+            if self._match_keyword("if"):
+                self._expect_punct("(")
+                condition = self._parse_expression()
+                self._expect_punct(")")
+                then_branch = self._parse_statement()
+                else_branch = None
+                if self._match_keyword("else"):
+                    else_branch = self._parse_statement()
+                return ast.If(location, condition, then_branch, else_branch)
+            if self._match_keyword("while"):
+                self._expect_punct("(")
+                condition = self._parse_expression()
+                self._expect_punct(")")
+                body = self._parse_statement()
+                return ast.While(location, condition, body)
+            if self._match_keyword("for"):
+                return self._parse_for(location)
+            if self._match_keyword("return"):
+                value = None
+                if not self._check_punct(";"):
+                    value = self._parse_expression()
+                self._expect_punct(";")
+                return ast.Return(location, value)
+            if self._match_keyword("break"):
+                self._expect_punct(";")
+                return ast.Break(location)
+            if self._match_keyword("continue"):
+                self._expect_punct(";")
+                return ast.Continue(location)
         if self._looks_like_type_then_name():
             return self._parse_var_decl(location)
         statement = self._parse_simple_statement(location)
@@ -339,81 +357,44 @@ class Parser:
         return ast.For(location, init, condition, update, body)
 
     # ------------------------------------------------------------------
-    # expressions, by descending precedence
+    # expressions
 
-    def _parse_expression(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._check_punct("||"):
-            location = self._advance().location
-            right = self._parse_and()
-            left = ast.Binary(location, "||", left, right)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._check_punct("&&"):
-            location = self._advance().location
-            right = self._parse_equality()
-            left = ast.Binary(location, "&&", left, right)
-        return left
-
-    def _parse_equality(self) -> ast.Expr:
-        left = self._parse_relational()
-        while self._check_punct("==") or self._check_punct("!="):
-            op = self._advance()
-            right = self._parse_relational()
-            left = ast.Binary(op.location, op.value, left, right)
-        return left
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_additive()
-        while True:
-            if self._check_keyword("instanceof"):
-                location = self._advance().location
-                tested = self._parse_type()
-                left = ast.InstanceOf(location, left, tested)
-                continue
-            matched = None
-            for op in ("<=", ">=", "<", ">"):
-                if self._check_punct(op):
-                    matched = self._advance()
-                    break
-            if matched is None:
-                return left
-            right = self._parse_additive()
-            left = ast.Binary(matched.location, matched.value, left, right)
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._check_punct("+") or self._check_punct("-"):
-            op = self._advance()
-            right = self._parse_multiplicative()
-            left = ast.Binary(op.location, op.value, left, right)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_expression(self, min_precedence: int = 1) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_PRECEDENCE`: every binary
+        operator, and ``instanceof`` (whose right operand is a type), is
+        left-associative."""
         left = self._parse_unary()
-        while self._check_punct("*") or self._check_punct("/") or self._check_punct("%"):
-            op = self._advance()
-            right = self._parse_unary()
-            left = ast.Binary(op.location, op.value, left, right)
-        return left
+        while True:
+            token = self._tokens[self._pos]
+            kind = token.kind
+            if kind is TokenKind.PUNCT:
+                precedence = _BINARY_PRECEDENCE.get(token.value, 0)
+            elif kind is TokenKind.KEYWORD and token.value == "instanceof":
+                precedence = _INSTANCEOF_PRECEDENCE
+            else:
+                return left
+            if precedence < min_precedence:
+                return left
+            self._pos += 1
+            if kind is TokenKind.KEYWORD:
+                left = ast.InstanceOf(token.location, left, self._parse_type())
+            else:
+                right = self._parse_expression(precedence + 1)
+                left = ast.Binary(token.location, token.value, left, right)
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._peek()
-        if self._match_punct("!"):
-            return ast.Unary(token.location, "!", self._parse_unary())
-        if self._match_punct("-"):
-            return ast.Unary(token.location, "-", self._parse_unary())
+        token = self._tokens[self._pos]
+        if token.kind is not TokenKind.PUNCT:
+            return self._parse_postfix()
+        if token.value == "!" or token.value == "-":
+            self._pos += 1
+            return ast.Unary(token.location, token.value, self._parse_unary())
         if self._looks_like_cast():
-            location = self._advance().location  # '('
+            self._pos += 1  # '('
             target = self._parse_type()
             self._expect_punct(")")
             operand = self._parse_unary()
-            return ast.Cast(location, target, operand)
+            return ast.Cast(token.location, target, operand)
         return self._parse_postfix()
 
     def _looks_like_cast(self) -> bool:
@@ -454,25 +435,23 @@ class Parser:
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
         while True:
-            if self._check_punct("."):
-                location = self._advance().location
+            token = self._tokens[self._pos]
+            if token.kind is not TokenKind.PUNCT:
+                return expr
+            if token.value == ".":
+                self._pos += 1
                 name = self._expect_ident().value
                 if self._check_punct("("):
-                    args = self._parse_args()
-                    expr = self._make_call(location, expr, name, args)
+                    expr = ast.MethodCall(token.location, expr, name, self._parse_args())
                 else:
-                    expr = ast.FieldAccess(location, expr, name)
-            elif self._check_punct("["):
-                location = self._advance().location
+                    expr = ast.FieldAccess(token.location, expr, name)
+            elif token.value == "[":
+                self._pos += 1
                 index = self._parse_expression()
                 self._expect_punct("]")
-                expr = ast.ArrayIndex(location, expr, index)
+                expr = ast.ArrayIndex(token.location, expr, index)
             else:
                 return expr
-
-    @staticmethod
-    def _make_call(location, receiver, name, args) -> ast.Expr:
-        return ast.MethodCall(location, receiver, name, args)
 
     def _parse_args(self) -> List[ast.Expr]:
         self._expect_punct("(")
@@ -486,39 +465,41 @@ class Parser:
         return args
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._peek()
+        token = self._tokens[self._pos]
         location = token.location
-        if token.kind is TokenKind.INT_LITERAL:
-            self._advance()
-            return ast.IntLiteral(location, int(token.value))
-        if token.kind is TokenKind.STRING_LITERAL:
-            self._advance()
-            return ast.StringLiteral(location, token.value)
-        if self._match_keyword("true"):
-            return ast.BoolLiteral(location, True)
-        if self._match_keyword("false"):
-            return ast.BoolLiteral(location, False)
-        if self._match_keyword("null"):
-            return ast.NullLiteral(location)
-        if self._match_keyword("this"):
-            return ast.ThisExpr(location)
-        if self._match_keyword("super"):
-            self._expect_punct(".")
-            name = self._expect_ident().value
-            args = self._parse_args()
-            return ast.SuperCall(location, name, args)
-        if self._match_keyword("new"):
-            return self._parse_new(location)
-        if self._match_punct("("):
-            expr = self._parse_expression()
-            self._expect_punct(")")
-            return expr
-        if token.kind is TokenKind.IDENT:
-            self._advance()
+        kind = token.kind
+        if kind is TokenKind.IDENT:
+            self._pos += 1
             if self._check_punct("("):
                 args = self._parse_args()
                 return ast.MethodCall(location, None, token.value, args)
             return ast.NameRef(location, token.value)
+        if kind is TokenKind.INT_LITERAL:
+            self._pos += 1
+            return ast.IntLiteral(location, int(token.value))
+        if kind is TokenKind.STRING_LITERAL:
+            self._pos += 1
+            return ast.StringLiteral(location, token.value)
+        if kind is TokenKind.KEYWORD:
+            if self._match_keyword("true"):
+                return ast.BoolLiteral(location, True)
+            if self._match_keyword("false"):
+                return ast.BoolLiteral(location, False)
+            if self._match_keyword("null"):
+                return ast.NullLiteral(location)
+            if self._match_keyword("this"):
+                return ast.ThisExpr(location)
+            if self._match_keyword("super"):
+                self._expect_punct(".")
+                name = self._expect_ident().value
+                args = self._parse_args()
+                return ast.SuperCall(location, name, args)
+            if self._match_keyword("new"):
+                return self._parse_new(location)
+        if self._match_punct("("):
+            expr = self._parse_expression()
+            self._expect_punct(")")
+            return expr
         raise ParseError(f"unexpected token '{token}' in expression", location)
 
     def _parse_new(self, location) -> ast.Expr:

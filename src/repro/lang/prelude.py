@@ -22,6 +22,8 @@ Builtin classes:
     from it).
 """
 
+import functools
+
 PRELUDE_SOURCE = """
 class Object {
 }
@@ -66,8 +68,13 @@ class Files {
 PRELUDE_CLASS_NAMES = ("Object", "Sys", "Net", "Str", "Files")
 
 
+@functools.cache
 def parse_prelude():
-    """Parse the prelude into an AST program (cached per call site)."""
+    """Parse the prelude into an AST program, once per process.
+
+    Every caller shares the returned program. Nothing writes into it: the
+    type checker annotates only expression nodes, and the prelude has none
+    (native methods only, no bodies, no field initialisers)."""
     from .parser import parse
 
     return parse(PRELUDE_SOURCE, "<prelude>")

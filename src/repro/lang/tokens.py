@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .errors import SourceLocation
 
@@ -80,8 +80,7 @@ PUNCTUATION = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``value`` holds the identifier text, keyword text, punctuation text, the

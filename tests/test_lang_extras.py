@@ -1,12 +1,16 @@
 """Extra front-end coverage: symbol-table details, overload ambiguity,
-multi-dimensional arrays, the prelude, and the plots helper."""
+multi-dimensional arrays, the prelude, integer literals, and the plots
+helper."""
 
 import pytest
 
+from repro.compiler import compile as compile_module
+from repro.compiler.compile import compile_prelude, compile_source
 from repro.harness.plots import ascii_chart
-from repro.lang.errors import TypeError_
+from repro.lang.errors import CompileError, LexError, TypeError_
+from repro.lang.lexer import tokenize
 from repro.lang.parser import parse
-from repro.lang.prelude import PRELUDE_CLASS_NAMES, parse_prelude
+from repro.lang.prelude import PRELUDE_CLASS_NAMES, PRELUDE_SOURCE, parse_prelude
 from repro.lang.symbols import ProgramSymbols
 from repro.lang.typechecker import typecheck
 from repro.lang.types import INT, STRING, class_type
@@ -78,6 +82,42 @@ class TestPrelude:
         program = parse_prelude()
         sys_class = program.find_class("Sys")
         assert all(m.is_native for m in sys_class.methods)
+
+    def test_prelude_is_parsed_once_and_never_written(self, monkeypatch):
+        program = parse_prelude()
+        assert parse_prelude() is program
+        before = repr(program)
+        assert before == repr(parse(PRELUDE_SOURCE, "<prelude>"))
+        for _ in range(2):
+            compile_source(
+                "class A { int x = 1; A next; "
+                "int f(Object o) { if (o instanceof A) { return x; } return -x; } }"
+            )
+            monkeypatch.setattr(compile_module, "_PRELUDE_CACHE", None)
+            compile_prelude()
+        assert repr(program) == before
+
+
+class TestIntegerLiterals:
+    """Integer literals are ASCII digit runs, as in Java."""
+
+    @pytest.mark.parametrize("source", ["1\u00b2", "12\u0663", "1\u216b"])
+    def test_digit_run_followed_by_identifier_character(self, source):
+        with pytest.raises(LexError) as error:
+            tokenize(source)
+        assert error.value.message == "identifier may not start with a digit"
+        assert error.value.location.column == 1
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\u00b2", "\uff11"])
+    def test_non_ascii_digit_is_an_unexpected_character(self, digit):
+        with pytest.raises(LexError) as error:
+            tokenize(f"x = {digit};")
+        assert error.value.message == f"unexpected character {digit!r}"
+        assert error.value.location.column == 5
+
+    def test_superscript_digit_is_a_compile_error(self):
+        with pytest.raises(CompileError):
+            compile_source("class A { static int f() { return 1\u00b2; } }")
 
 
 class TestMultiDimensionalArrays:
