@@ -16,11 +16,12 @@ A plan is computed purely statically (no VM is instantiated):
    every reachable pc of the old and the new body (old against the old
    program, new against :func:`~.semdiff.post_update_world`).
 2. **Align the instruction streams.** Tokens abstract local slots to
-   semdiff-style canonical ids (parameters pinned, temporaries numbered
-   by first use) and strip branch targets, so renamed/renumbered locals
-   and shifted offsets still align; a longest-matching-block pass over
-   the token streams yields candidate pc pairs, then a fixpoint filter
-   drops every pair whose branch target does not map consistently.
+   the canonical ids of :func:`repro.bytecode.cfg.canonical_slots`
+   (parameters pinned, temporaries numbered by first use) and strip
+   branch targets, so renamed/renumbered locals and shifted offsets
+   still align; a longest-matching-block pass over the token streams
+   yields candidate pc pairs, then a fixpoint filter drops every pair
+   whose branch target does not map consistently.
 3. **Match back-edges.** Every old loop head (the target of a backward
    ``JUMP`` — the interpreter's in-loop yield point, where a spinning
    frame parks) must map onto a new loop head. When the new body holds
@@ -34,8 +35,8 @@ A plan is computed purely statically (no VM is instantiated):
    aligned ``LOAD``/``STORE`` pairs (the fine-grained fallback for
    renamed locals — jmini strips debug names, so slots *are* the
    variable identities) and must be consistent in both directions for
-   every local live at a parkable pc (liveness is a backward dataflow
-   pass over the CFG; DSU-OM03).
+   every local live at a parkable pc (liveness is
+   :func:`repro.bytecode.cfg.liveness`; DSU-OM03).
 6. **Derive compensation.** A new-in-new local live at a mapped pc gets
    a compensation assignment only when every store to it in the new body
    is a provable constant (``CONST_*; STORE``) with one value — else the
@@ -54,13 +55,15 @@ from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..bytecode.cfg import (
+    canonical_slots, liveness, loop_heads, param_slot_count,
+)
 from ..bytecode.classfile import ClassFile, MethodInfo
 from ..bytecode.instructions import BRANCH_OPS, Instr
 from ..bytecode.verifier import ClassTable, TypeState, Verifier, VerifyError
 from ..compiler.compile import compile_prelude
 from ..dsu.specification import MethodKey, UpdateSpecification
 from ..dsu.upt import ActiveMethodMapping, PreparedUpdate
-from ..lang.types import parse_method_descriptor
 from .callgraph import CallGraph, build_call_graph
 from .closure import RestrictionClosure, compute_closure
 from .reachability import blocking_native_calls, never_return_closure
@@ -226,31 +229,7 @@ class OSRMapReport:
 
 
 # ---------------------------------------------------------------------------
-# CFG helpers (shared model with reachability.py)
-
-
-def _successors(code: List[Instr], pc: int) -> List[int]:
-    instr = code[pc]
-    if instr.op in ("RETURN", "RETURN_VALUE"):
-        return []
-    if instr.op == "JUMP":
-        return [instr.a]
-    if instr.op in BRANCH_OPS:
-        return [instr.a, pc + 1]
-    return [pc + 1]
-
-
-def loop_heads(code: List[Instr]) -> List[int]:
-    """Targets of backward unconditional jumps — the interpreter's
-    in-loop yield points, where a spinning frame parks."""
-    return sorted(
-        {
-            instr.a
-            for pc, instr in enumerate(code)
-            if instr.op == "JUMP" and isinstance(instr.a, int)
-            and instr.a <= pc
-        }
-    )
+# parkable pcs and instruction alignment (control flow: bytecode/cfg.py)
 
 
 def parkable_pcs(code: List[Instr], reachable: Set[int]) -> List[int]:
@@ -267,59 +246,15 @@ def parkable_pcs(code: List[Instr], reachable: Set[int]) -> List[int]:
     return sorted(parkable & reachable)
 
 
-def _liveness(code: List[Instr]) -> List[Set[int]]:
-    """Backward may-liveness of local slots: ``live_in[pc]`` holds every
-    slot whose current value may still be read (``LOAD`` uses a slot,
-    ``STORE`` kills it)."""
-    length = len(code)
-    live_in: List[Set[int]] = [set() for _ in range(length)]
-    changed = True
-    while changed:
-        changed = False
-        for pc in range(length - 1, -1, -1):
-            instr = code[pc]
-            live_out: Set[int] = set()
-            for successor in _successors(code, pc):
-                if 0 <= successor < length:
-                    live_out |= live_in[successor]
-            if instr.op == "STORE":
-                live_out.discard(instr.a)
-            new_live = set(live_out)
-            if instr.op == "LOAD":
-                new_live.add(instr.a)
-            if new_live != live_in[pc]:
-                live_in[pc] = new_live
-                changed = True
-    return live_in
-
-
-def _param_slot_count(method: MethodInfo) -> int:
-    params, _ = parse_method_descriptor(method.descriptor)
-    return len(params) + (0 if method.is_static else 1)
-
-
-def _canonical_slots(method: MethodInfo) -> Dict[int, int]:
-    """semdiff's slot canonicalization: parameter slots are pinned,
-    temporaries are renumbered in first-use order."""
-    pinned = _param_slot_count(method)
-    canonical: Dict[int, int] = {slot: slot for slot in range(pinned)}
-    next_id = pinned
-    for instr in method.instructions:
-        if instr.op in ("LOAD", "STORE") and instr.a not in canonical:
-            canonical[instr.a] = next_id
-            next_id += 1
-    return canonical
-
-
 def _tokens(method: MethodInfo) -> List[tuple]:
     """Slot-abstracted, target-stripped instruction tokens: equal tokens
     mean "the same operation on the same canonical variable", regardless
     of physical slot numbers or how far branch targets shifted."""
-    canonical = _canonical_slots(method)
+    canonical = canonical_slots(method.instructions, param_slot_count(method))
     tokens: List[tuple] = []
     for instr in method.instructions:
         if instr.op in ("LOAD", "STORE"):
-            tokens.append((instr.op, canonical[instr.a]))
+            tokens.append((instr.op, canonical.get(instr.a, instr.a)))
         elif instr.op in BRANCH_OPS:
             tokens.append((instr.op,))
         else:
@@ -508,7 +443,7 @@ def _plan_one(
 
     # -- local-slot correspondence from the aligned pairs (DSU-OM03) -----
     locals_map: Dict[int, int] = {
-        slot: slot for slot in range(_param_slot_count(old_method))
+        slot: slot for slot in range(param_slot_count(old_method))
     }
     reverse: Dict[int, int] = {slot: slot for slot in locals_map}
     for old_pc, new_pc in sorted(pc_map.items()):
@@ -532,8 +467,8 @@ def _plan_one(
     # -- per-parkable-pc verification (DSU-OM02/03/04) -------------------
     old_reachable = set(old_verified.states)
     parkable = parkable_pcs(old_code, old_reachable)
-    old_live = _liveness(old_code)
-    new_live = _liveness(new_code)
+    old_live = liveness(old_code)
+    new_live = liveness(new_code)
     compensation: Dict[int, int] = {}
     for old_pc in parkable:
         new_pc = pc_map.get(old_pc)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Set
 
 from ..bytecode.classfile import MethodInfo
-from ..bytecode.instructions import BRANCH_OPS
+from ..bytecode.cfg import RETURN_OPS, predecessors, reach, successors
 from ..dsu.specification import MethodKey, UpdateSpecification
 from .callgraph import CallGraph
 from .closure import RestrictionClosure
@@ -53,50 +53,13 @@ def method_may_never_return(method: MethodInfo) -> bool:
     Native methods return at the runtime's discretion and trivially have
     no CFG; they are never flagged here.
     """
-    if method.is_native or not method.instructions:
-        return False
     code = method.instructions
-    successors: Dict[int, List[int]] = {}
-    for pc, instr in enumerate(code):
-        if instr.op in ("RETURN", "RETURN_VALUE"):
-            successors[pc] = []
-        elif instr.op == "JUMP":
-            successors[pc] = [instr.a]
-        elif instr.op in BRANCH_OPS:
-            successors[pc] = [instr.a, pc + 1]
-        else:
-            successors[pc] = [pc + 1]
-    valid = lambda pc: 0 <= pc < len(code)
-
-    # Forward reachability from entry.
-    reachable: Set[int] = set()
-    stack = [0]
-    while stack:
-        pc = stack.pop()
-        if pc in reachable or not valid(pc):
-            continue
-        reachable.add(pc)
-        stack.extend(successors[pc])
-
-    # Backward reachability from every return.
-    predecessors: Dict[int, List[int]] = {pc: [] for pc in range(len(code))}
-    for pc, targets in successors.items():
-        for target in targets:
-            if valid(target):
-                predecessors[target].append(pc)
-    returning: Set[int] = set()
-    stack = [
-        pc for pc, instr in enumerate(code)
-        if instr.op in ("RETURN", "RETURN_VALUE")
-    ]
-    while stack:
-        pc = stack.pop()
-        if pc in returning:
-            continue
-        returning.add(pc)
-        stack.extend(predecessors[pc])
-
-    return bool(reachable - returning)
+    if method.is_native or not code:
+        return False
+    succ = successors(code)
+    returns = [pc for pc, instr in enumerate(code) if instr.op in RETURN_OPS]
+    returning = set(reach(returns, predecessors(succ)))
+    return not returning.issuperset(reach([0], succ))
 
 
 def never_return_closure(graph: CallGraph) -> Dict[MethodKey, MethodKey]:

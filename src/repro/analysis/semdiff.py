@@ -58,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..bytecode.cfg import canonical_slots, leaders, param_slot_count, reach
 from ..bytecode.classfile import CLINIT_NAME, CTOR_NAME, ClassFile, MethodInfo
 from ..bytecode.instructions import (
     BRANCH_OPS,
@@ -66,7 +67,6 @@ from ..bytecode.instructions import (
     Instr,
 )
 from ..dsu.specification import MethodKey, UpdateSpecification
-from ..lang.types import parse_method_descriptor
 
 __all__ = [
     "Verdict",
@@ -136,7 +136,7 @@ class _Block:
         self.term = term
 
 
-def _successors(term: tuple) -> Tuple[int, ...]:
+def _term_successors(term: tuple) -> Tuple[int, ...]:
     if term[0] == "goto":
         return (term[1],)
     if term[0] == "branch":
@@ -163,21 +163,15 @@ def _build_cfg(code: List[Instr]) -> Optional[Tuple[Dict[int, _Block], int]]:
     if not code:
         return None
     length = len(code)
-    leaders = {0}
-    for pc, instr in enumerate(code):
+    for instr in code:
         if instr.op not in OPCODES:
             return None
         if instr.op in BRANCH_OPS:
             target = instr.a
             if not isinstance(target, int) or not 0 <= target < length:
                 return None  # pc == length would fall off the end
-            leaders.add(target)
-            if pc + 1 < length:
-                leaders.add(pc + 1)
-        elif instr.op in ("RETURN", "RETURN_VALUE") and pc + 1 < length:
-            leaders.add(pc + 1)
 
-    ordered = sorted(leaders)
+    ordered = leaders(code)
     blocks: Dict[int, _Block] = {}
     for index, leader in enumerate(ordered):
         end = ordered[index + 1] if index + 1 < len(ordered) else length
@@ -354,16 +348,15 @@ def _fold_terminators(blocks: Dict[int, _Block]) -> bool:
     return changed
 
 
+def _block_successors(blocks: Dict[int, _Block]) -> Dict[int, Tuple[int, ...]]:
+    return {
+        block_id: _term_successors(block.term)
+        for block_id, block in blocks.items()
+    }
+
+
 def _drop_unreachable(blocks: Dict[int, _Block], entry: int) -> bool:
-    reachable: Set[int] = set()
-    stack = [entry]
-    while stack:
-        block_id = stack.pop()
-        if block_id in reachable:
-            continue
-        reachable.add(block_id)
-        stack.extend(_successors(blocks[block_id].term))
-    dead = set(blocks) - reachable
+    dead = set(blocks).difference(reach([entry], _block_successors(blocks)))
     for block_id in dead:
         del blocks[block_id]
     return bool(dead)
@@ -387,7 +380,7 @@ def _collapse_forwarders(blocks: Dict[int, _Block], entry: int) -> Tuple[bool, i
 
     for block in blocks.values():
         term = block.term
-        for successor in _successors(term):
+        for successor in _term_successors(term):
             resolved = resolve(successor)
             if resolved != successor:
                 term = _retarget(term, successor, resolved)
@@ -404,7 +397,7 @@ def _merge_chains(blocks: Dict[int, _Block], entry: int) -> bool:
     jump/fall-through layout distinction entirely."""
     predecessors: Dict[int, List[int]] = {block_id: [] for block_id in blocks}
     for block_id, block in blocks.items():
-        for successor in _successors(block.term):
+        for successor in _term_successors(block.term):
             predecessors[successor].append(block_id)
     changed = False
     for block_id in list(blocks):
@@ -423,18 +416,13 @@ def _merge_chains(blocks: Dict[int, _Block], entry: int) -> bool:
         block.term = target.term
         del blocks[successor]
         # Fix the predecessor map incrementally and allow chained merges.
-        for next_successor in _successors(block.term):
+        for next_successor in _term_successors(block.term):
             preds = predecessors[next_successor]
             predecessors[next_successor] = [
                 block_id if p == successor else p for p in preds
             ]
         changed = True
     return changed
-
-
-def _param_slots(method: MethodInfo) -> int:
-    params, _ = parse_method_descriptor(method.descriptor)
-    return len(params) + (0 if method.is_static else 1)
 
 
 def canonicalize_method(method: MethodInfo) -> Optional[tuple]:
@@ -473,28 +461,15 @@ def canonicalize_method(method: MethodInfo) -> Optional[tuple]:
             changed = True
 
     # Deterministic block numbering: DFS preorder, true arm first.
-    order: List[int] = []
-    numbering: Dict[int, int] = {}
-    stack = [entry]
-    while stack:
-        block_id = stack.pop()
-        if block_id in numbering:
-            continue
-        numbering[block_id] = len(order)
-        order.append(block_id)
-        stack.extend(reversed(_successors(blocks[block_id].term)))
+    order = reach([entry], _block_successors(blocks))
+    numbering = {block_id: index for index, block_id in enumerate(order)}
 
     # Local-slot renumbering: parameters keep their slots (calling
     # convention), temporaries get dense indexes by first appearance.
-    fixed = _param_slots(method)
-    rename: Dict[int, int] = {}
-
-    def canonical_slot(slot: int) -> int:
-        if not isinstance(slot, int) or slot < fixed:
-            return slot
-        if slot not in rename:
-            rename[slot] = fixed + len(rename)
-        return rename[slot]
+    rename = canonical_slots(
+        (instr for block_id in order for instr in blocks[block_id].instrs),
+        param_slot_count(method),
+    )
 
     serialized: List[tuple] = []
     for block_id in order:
@@ -502,7 +477,7 @@ def canonicalize_method(method: MethodInfo) -> Optional[tuple]:
         body = []
         for instr in block.instrs:
             if instr.op in ("LOAD", "STORE"):
-                body.append((instr.op, canonical_slot(instr.a), instr.b))
+                body.append((instr.op, rename.get(instr.a, instr.a), instr.b))
             else:
                 body.append((instr.op, instr.a, instr.b))
         term = block.term

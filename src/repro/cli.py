@@ -109,7 +109,7 @@ def cmd_update(args) -> int:
     vm = VM(heap_cells=args.heap_cells)
     vm.boot(old)
     vm.start_main(args.main)
-    engine = UpdateEngine(vm, auto_read_barrier=args.auto_read_barrier)
+    engine = UpdateEngine(vm)
     overrides = None
     if args.transformers:
         overrides = _parse_transformer_overrides(_read(args.transformers))
@@ -531,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument("--transformers", default=None,
                         help="file of per-class transformer overrides "
                              "separated by '=== ClassName' lines")
-    update.add_argument("--auto-read-barrier", action="store_true")
     update.add_argument("--dsu-heap-grow", action="store_true",
                         help="let the update collection grow the heap in "
                              "place when the to-space sizing pre-flight "

@@ -351,24 +351,15 @@ class _ActiveUpdate:
 
 
 class UpdateEngine:
-    """Drives dynamic updates on one VM.
-
-    ``auto_read_barrier`` enables the §3.4/§3.5 extension: during the
-    transformation phase a GETFIELD on a not-yet-transformed object forces
-    its transformer automatically, so custom transformers need no explicit
-    ``Sys.forceTransform`` calls. Off by default (paper-faithful: "In our
-    current implementation, the programmer uses a special VM function").
-    """
+    """Drives dynamic updates on one VM."""
 
     def __init__(
         self,
         vm: "VM",
-        auto_read_barrier: bool = False,
         eager_old_copy_reclaim: bool = False,
         fault_injector: Optional[FaultInjector] = None,
     ):
         self.vm = vm
-        self.auto_read_barrier = auto_read_barrier
         #: §3.4 optimization: segregate old copies in a special region and
         #: reclaim them the moment the transformers finish, instead of
         #: waiting for the next collection
@@ -993,8 +984,6 @@ class UpdateEngine:
         tracer = vm.tracer
         stats = active.gc_stats
         vm.force_transform_hook = self._force_transform
-        if self.auto_read_barrier:
-            vm.interpreter.arm_auto_barrier(self._force_transform)
         try:
             with tracer.span("dsu.transform.classes", "dsu"):
                 for name in sorted(active.prepared.spec.class_updates):
@@ -1015,7 +1004,6 @@ class UpdateEngine:
             span.args["objects"] = stats.objects_updated
         finally:
             vm.force_transform_hook = None
-            vm.interpreter.disarm_auto_barrier()
 
     def _cleanup(self, active: _ActiveUpdate, span) -> None:
         """Clear cached old-version pointers, retire old statics, and
@@ -1244,16 +1232,9 @@ class UpdateEngine:
 
     def _force_transform(self, address: int) -> None:
         """``Sys.forceTransform(o)``: ensure ``o`` (a new-version object) is
-        transformed before the caller dereferences its fields (§3.4).
-
-        With ``auto_read_barrier`` this is also the read barrier, and a
-        transformer reading fields of its *own* in-progress object must not
-        trip cycle detection — the barrier simply lets the read through
-        (lazy semantics: the reader observes the current state)."""
+        transformed before the caller dereferences its fields (§3.4)."""
         active = self.active
         if active is None or address == 0:
-            return
-        if self.auto_read_barrier and address in self._transform_in_progress:
             return
         old_address = self._old_copy_of.get(address)
         if old_address is not None:  # else: not an updated object

@@ -57,6 +57,7 @@ class UpdatePolicy:
     ``heap_grow``
         Let the update-GC pre-flight grow the heap in place instead of
         aborting when to-space cannot hold the transformed objects.
+        Eager only: a lazy update runs no update collection.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -75,6 +76,9 @@ class UpdatePolicy:
                 raise ValueError(
                     f"{name} must be one of {'|'.join(modes)}, "
                     f"got {getattr(self, name)!r}")
+        if self.heap_grow and self.transform == "lazy":
+            raise ValueError("heap_grow needs transform='eager': a lazy "
+                             "update has no update-collection pre-flight")
 
     # -- presets -------------------------------------------------------
 

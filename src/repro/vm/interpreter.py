@@ -33,10 +33,9 @@ the stack map at ``frame.pc``), a call, a native, a barrier slow path —
 stores ``frame.pc = pc`` first.
 
 Barriers are table swaps. :meth:`Interpreter.arm_lazy_barrier` (a lazy
-epoch opening) replaces the six barrier sites with armed variants, and
-:meth:`Interpreter.arm_auto_barrier` (the transform phase's automatic read
-barrier) replaces GETFIELD; disarming puts the plain entries back, so a
-disarmed VM tests no barrier slot at all.
+epoch opening) replaces the six barrier sites with armed variants;
+disarming puts the plain entries back, so a disarmed VM tests no barrier
+slot at all.
 """
 
 from __future__ import annotations
@@ -148,21 +147,6 @@ class Interpreter:
         for name in LAZY_BARRIER_SITES:
             self.handlers[OPCODE[name]] = self.plain[OPCODE[name]]
         self.lazy_barrier_armed = False
-
-    def arm_auto_barrier(self, force_transform: Callable[[int], None]) -> None:
-        """The transform phase's automatic read barrier: GETFIELD on an
-        object whose status word is set (a new-version object not yet
-        transformed) calls ``force_transform(address)`` before the read.
-        Never armed while a lazy epoch is: ``submit`` drains any open
-        epoch before an update's transform phase can run."""
-        index = OPCODE["GETFIELD"]
-        self.handlers[index] = _auto_barrier_getfield(
-            self.vm, self.plain[index], force_transform
-        )
-
-    def disarm_auto_barrier(self) -> None:
-        index = OPCODE["GETFIELD"]
-        self.handlers[index] = self.plain[index]
 
     # ------------------------------------------------------------------
     # thread execution
@@ -714,19 +698,3 @@ def _lazy_barrier_handlers(vm: "VM", plain: Tuple[Handler, ...],
         "INVOKEVIRTUAL": invokevirtual,
     }
 
-
-def _auto_barrier_getfield(vm: "VM", plain_getfield: Handler,
-                           force_transform: Callable[[int], None]) -> Handler:
-    cells = vm.heap.cells
-
-    def getfield(thread, frame, stack, pc, offset):
-        address = stack[-1]
-        if address != NULL and cells[address + HEADER_STATUS] != 0:
-            # Untransformed: the status word caches the old copy.
-            frame.pc = pc
-            force_transform(address)
-            stack[-1] = cells[stack[-1] + offset]
-            return _after_program_code(vm, frame, pc + 1)
-        return plain_getfield(thread, frame, stack, pc, offset)
-
-    return getfield

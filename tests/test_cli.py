@@ -160,6 +160,19 @@ class Main { static void main() { Loop.spin(); } }
         assert code == 1
         assert "aborted" in captured.err
 
+    @pytest.mark.parametrize("flags", [
+        ["--dsu-transform", "lazy", "--dsu-heap-grow"],
+        ["--auto-read-barrier"],
+    ], ids=["lazy-heap-grow", "removed-auto-barrier"])
+    def test_update_rejects_bad_flags(self, program_files, flags, capsys):
+        old, new = program_files
+        try:
+            code = main(["update", old, new, *flags])
+        except SystemExit as exit_:  # argparse rejects an unknown flag
+            code = exit_.code
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_update_inloop_osr_rescues_the_spinner(self, tmp_path, capsys):
         # Same doomed pair, but with the default in-loop OSR rescue on the
         # engine remaps the spinning frame instead of aborting.

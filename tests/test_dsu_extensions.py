@@ -2,14 +2,14 @@
 
 * **extended OSR** — updating a *changed* method while it runs, given a
   user-supplied pc/locals mapping (UpStare-style);
-* **automatic read barrier** — forcing dependent object transformation on
-  field reads during the transformation phase, instead of explicit
-  ``Sys.forceTransform`` calls.
+* **read-through transformers** — under a lazy epoch, a transformer that
+  reads another pending object transforms it first, so custom
+  transformers need no explicit ``Sys.forceTransform`` calls.
 """
 
 import pytest
 
-from repro.dsu.engine import UpdateEngine, UpdateRequest
+from repro.dsu.engine import UpdateRequest
 from repro.dsu.policy import UpdatePolicy
 from repro.dsu.safepoint import RetryPolicy
 from repro.dsu.upt import derive_identity_mapping, prepare_update
@@ -112,8 +112,9 @@ class TestExtendedOSR:
 
 
 # ---------------------------------------------------------------------------
-# automatic read barrier: the FORCE scenario from test_dsu_advanced, but
-# the transformer never calls Sys.forceTransform — the barrier does it.
+# read-through transformers: the FORCE scenario from test_dsu_advanced, but
+# the transformer never calls Sys.forceTransform — under a lazy epoch the
+# read barrier transforms the pending partner on first touch.
 
 BARRIER_FREE_TRANSFORMERS = {
     "A": """
@@ -128,35 +129,27 @@ BARRIER_FREE_TRANSFORMERS = {
 }
 
 
-class TestAutomaticReadBarrier:
-    def _run(self, auto: bool):
-        fixture = UpdateFixture(FORCE_V1, heap_cells=1 << 16)
-        # Swap in an engine with the requested barrier setting.
-        fixture.engine = UpdateEngine(fixture.vm, auto_read_barrier=auto)
-        fixture.start()
-        holder = fixture.update_at(55, FORCE_V2, overrides=BARRIER_FREE_TRANSFORMERS)
+class TestReadThrough:
+    def _run(self, overrides, policy=None):
+        fixture = UpdateFixture(FORCE_V1, heap_cells=1 << 16).start()
+        holder = fixture.update_at(55, FORCE_V2, overrides=overrides,
+                                   policy=policy)
         fixture.run(until_ms=3_000)
-        return fixture, holder["result"]
-
-    def test_with_barrier_dependent_state_is_correct(self):
-        fixture, result = self._run(auto=True)
+        result = holder["result"]
         assert result.succeeded, result.reason
+        return fixture
+
+    @pytest.mark.parametrize("overrides", [
+        BARRIER_FREE_TRANSFORMERS, FORCE_TRANSFORMERS,
+    ], ids=["barrier-free", "explicit-force"])
+    def test_lazy_sees_dependent_state(self, overrides):
+        fixture = self._run(overrides, UpdatePolicy(transform="lazy"))
         assert "5/7/19/14" in fixture.console
 
-    def test_without_barrier_transformer_sees_defaults(self):
-        # Paper-faithful default: without forceTransform (explicit or
-        # automatic), A's transformer reads B's yDoubled before B was
-        # transformed and observes 0 — sum comes out wrong.
-        fixture, result = self._run(auto=False)
-        assert result.succeeded, result.reason
+    def test_eager_without_force_sees_defaults(self):
+        # Paper-faithful eager replay: without Sys.forceTransform, A's
+        # transformer reads B's yDoubled before B was transformed and
+        # observes 0 — sum comes out wrong.
+        fixture = self._run(BARRIER_FREE_TRANSFORMERS)
         assert "5/7/5/14" in fixture.console  # sum = x + 0
         assert "5/7/19/14" not in fixture.console
-
-    def test_barrier_composes_with_explicit_force(self):
-        fixture = UpdateFixture(FORCE_V1, heap_cells=1 << 16)
-        fixture.engine = UpdateEngine(fixture.vm, auto_read_barrier=True)
-        fixture.start()
-        holder = fixture.update_at(55, FORCE_V2, overrides=FORCE_TRANSFORMERS)
-        fixture.run(until_ms=3_000)
-        assert holder["result"].succeeded
-        assert "5/7/19/14" in fixture.console

@@ -11,9 +11,9 @@ Three things are pinned here:
   recorded with the ``if/elif`` interpreter this one replaced. Counting
   dispatches shows that the first really runs every opcode and the
   second every armed barrier entry;
-* arming: the lazy and automatic read barriers are table swaps, and
-  every way out of an epoch or a transform phase swaps the plain
-  entries back.
+* arming: the lazy read barrier is a table swap, every way out of an
+  epoch swaps the plain entries back, and a faulted eager update leaves
+  the plain table in place.
 """
 
 from collections import Counter
@@ -23,7 +23,6 @@ import pytest
 
 from repro.bytecode.instructions import OPCODES, Instr
 from repro.compiler.compile import compile_source
-from repro.dsu.engine import UpdateEngine
 from repro.dsu.faults import FaultInjector, FaultPlan
 from repro.dsu.policy import UpdatePolicy
 from repro.dsu.safepoint import RetryPolicy
@@ -32,9 +31,7 @@ from repro.vm.interpreter import (
 )
 from repro.vm.vm import VM
 from tests.dsu_helpers import UpdateFixture
-from tests.test_dsu_extensions import (
-    BARRIER_FREE_TRANSFORMERS, FORCE_V1, FORCE_V2,
-)
+from tests.test_dsu_advanced import FORCE_TRANSFORMERS, FORCE_V1, FORCE_V2
 from tests.test_lazy_transform import SLEEPY_V1, SLEEPY_V2, disable_sweep
 
 # ---------------------------------------------------------------------------
@@ -476,53 +473,23 @@ def test_a_second_vm_is_never_armed():
         map(id, bystander.vm.interpreter.handlers))
 
 
-def _auto_barrier_update(plan):
-    """The automatic read barrier's update, recording at each object
-    transform whether GETFIELD was the armed auto-barrier entry."""
+@pytest.mark.parametrize("plan, phase", [
+    (FaultPlan(transformer_raise_at=0), "transform"),
+    (FaultPlan(transformer_raise_at=1), "transform"),
+    (FaultPlan(transformer_cycle_at=1), "transform"),
+    (FaultPlan(classload_fail_after=0), "classload"),
+    (FaultPlan(classload_fail_after=1), "classload"),
+], ids=["raise-first-object", "raise-second-object", "cycle",
+        "classload-0", "classload-1"])
+def test_an_eager_fault_keeps_the_plain_table(plan, phase):
     fixture = UpdateFixture(FORCE_V1, heap_cells=1 << 16)
-    fixture.engine = UpdateEngine(fixture.vm, auto_read_barrier=True)
-    vm = fixture.vm
-    getfield = OPCODE["GETFIELD"]
-    armed_at_transform = []
-
-    class Spy(FaultInjector):
-        def on_transform_object(self, address):
-            interpreter = vm.interpreter
-            armed_at_transform.append(
-                interpreter.handlers[getfield] is not interpreter.plain[getfield])
-            super().on_transform_object(address)
-
-    fixture.engine.fault_injector = Spy(plan)
+    injector = FaultInjector(plan)
+    fixture.engine.fault_injector = injector
     fixture.start()
-    holder = fixture.update_at(55, FORCE_V2, overrides=BARRIER_FREE_TRANSFORMERS)
+    holder = fixture.update_at(55, FORCE_V2, overrides=FORCE_TRANSFORMERS)
     fixture.run(until_ms=3_000)
-    return fixture, holder["result"], armed_at_transform
-
-
-def test_the_auto_barrier_is_armed_only_inside_the_transform_phase():
-    fixture, result, armed = _auto_barrier_update(FaultPlan())
-    assert result.succeeded, result.reason
-    assert armed and all(armed)
-    assert is_plain(fixture.vm)
-    assert "5/7/19/14" in fixture.console
-
-
-@pytest.mark.parametrize("plan", [
-    FaultPlan(transformer_raise_at=0),
-    FaultPlan(transformer_raise_at=1),
-    FaultPlan(transformer_cycle_at=1),
-], ids=["raise-first-object", "raise-second-object", "cycle"])
-def test_a_transform_fault_disarms_the_auto_barrier(plan):
-    fixture, result, armed = _auto_barrier_update(plan)
+    result = holder["result"]
     assert result.status == "aborted" and result.rolled_back
-    assert armed and all(armed)
-    assert is_plain(fixture.vm)
-
-
-@pytest.mark.parametrize("after", [0, 1])
-def test_a_classload_fault_never_arms_the_auto_barrier(after):
-    fixture, result, armed = _auto_barrier_update(
-        FaultPlan(classload_fail_after=after))
-    assert result.status == "aborted" and result.rolled_back
-    assert armed == []
+    assert result.failed_phase == phase
+    assert bool(injector.transforms_seen) == (phase == "transform")
     assert is_plain(fixture.vm)

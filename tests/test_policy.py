@@ -67,6 +67,8 @@ class TestPolicyObject:
         # then behaved exactly like "off"
         (dict(inloop_osr="require"), "inloop_osr"),
         (dict(transform="deferred"), "transform"),
+        # growth is the eager collection's pre-flight; lazy ignored it
+        (dict(transform="lazy", heap_grow=True), "heap_grow"),
     ])
     def test_mode_validation(self, kwargs, needle):
         with pytest.raises(ValueError, match=needle):
@@ -100,6 +102,11 @@ class TestRequestShape:
         fixture = UpdateFixture(UPDATE_V1)
         with pytest.raises(TypeError):
             UpdateEngine(fixture.vm, heap_grow=True)
+
+    def test_engine_takes_no_auto_read_barrier(self):
+        fixture = UpdateFixture(UPDATE_V1)
+        with pytest.raises(TypeError):
+            UpdateEngine(fixture.vm, auto_read_barrier=True)
 
 
 class TestPolicyDrivesTheEngine:

@@ -129,6 +129,19 @@ class TestPreflightAbort:
         retry.run(until_ms=2_000)
         assert retry_holder["result"].succeeded, retry_holder["result"].reason
 
+    def test_a_lazy_update_lands_where_the_preflight_refuses(self):
+        # The same undersized heap: a lazy update runs no update
+        # collection, so it lands at 900 cells without growing.
+        fixture = UpdateFixture(UPDATE_V1, heap_cells=900).start()
+        holder = fixture.update_at(55, UPDATE_V2,
+                                   policy=UpdatePolicy(transform="lazy"))
+        fixture.run(until_ms=2_000)
+        result = holder["result"]
+        assert result.succeeded, result.reason
+        fixture.engine.drain_lazy_epoch()
+        assert fixture.vm.heap.size == 900
+        assert pool_fields(fixture.vm) == ["a", "b", "c"]
+
     def test_mid_copy_injected_oom_still_aborts_cleanly(self):
         # The pre-flight passes (plenty of headroom) but a fault injector
         # blows the copy loop up mid-way: the old mid-copy abort path must
