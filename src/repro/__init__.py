@@ -47,7 +47,6 @@ from .dsu.upt import (
     prepare_update,
     version_prefix,
 )
-from .dsu.validation import validate_update
 from .obs import Metrics, Tracer
 from .vm.clock import CostModel
 from .vm.vm import VM
@@ -73,6 +72,5 @@ __all__ = [
     "version_prefix",
     "ActiveMethodMapping",
     "derive_identity_mapping",
-    "validate_update",
     "__version__",
 ]

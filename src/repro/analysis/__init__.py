@@ -33,8 +33,11 @@ engine can apply to the live loop frame after the retry budget burns
 down, or refuses with a ``DSU-OM..`` code explaining why no sound remap
 exists. Pass 3's diagnostics carry the per-method verdict.
 
-:func:`analyze_update` is the single entry point; ``repro.dsu.validation``
-and the ``dsu-lint`` CLI subcommand are thin wrappers over it.
+:func:`analyze_update` is the single entry point, and one call serves
+every consumer of an update attempt: the engine's pre-flight reads the
+lint counts, the bypass verdict and the rescue plans from the same
+:class:`AnalysisReport`, and ``repro update``, ``dsu-lint`` and
+``dsu-lint --explain`` read it too.
 """
 
 from __future__ import annotations
@@ -118,9 +121,8 @@ __all__ = [
 def _check_spec(
     old_classfiles: Dict[str, ClassFile], prepared: PreparedUpdate
 ) -> List[Diagnostic]:
-    """The specification-plausibility checks inherited from the original
-    ``dsu/validation.py``: bogus blacklist entries, unusable active-method
-    mappings, and the empty update."""
+    """The specification-plausibility checks: bogus blacklist entries,
+    unusable active-method mappings, and the empty update."""
     diagnostics: List[Diagnostic] = []
     spec = prepared.spec
 
@@ -251,6 +253,7 @@ def analyze_update(
         program, spec, graph, prepared.new_classfiles
     )
     report.extend(closure_diagnostics)
+    report.closure = closure
     report.predicted_restricted = closure.predicted
 
     # Pass 6 runs *before* pass 3 is reported: reachability's verdicts
@@ -284,6 +287,6 @@ def analyze_update(
     # Pass 4: transformer presence, coverage, and type checking.
     report.extend(check_transformers(old_classfiles, prepared))
 
-    # Specification plausibility (validation.py heritage).
+    # Specification plausibility.
     report.extend(_check_spec(old_classfiles, prepared))
     return report

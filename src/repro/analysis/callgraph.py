@@ -53,6 +53,11 @@ class CallGraph:
     unresolved: List[UnresolvedCall] = field(default_factory=list)
     #: direct subclasses, for CHA dispatch
     subclasses: Dict[str, Set[str]] = field(default_factory=dict)
+    #: :func:`~.reachability.never_return_closure`'s map, built on first
+    #: use; the graph never changes after :func:`build_call_graph`
+    never_return: Optional[Dict[MethodKey, MethodKey]] = field(
+        default=None, repr=False
+    )
 
     # ------------------------------------------------------------------
     # queries

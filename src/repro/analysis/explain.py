@@ -24,11 +24,8 @@ from ..bytecode.classfile import ClassFile
 from ..compiler.compile import compile_prelude
 from ..dsu.specification import MethodKey
 from ..dsu.upt import PreparedUpdate
-from .callgraph import build_call_graph
-from .closure import RestrictionClosure, compute_closure
-from .confree import ConFreeVerdict, classify_update
-from .osrmap import OSRMapReport, compute_osr_plans
-from .report import format_method
+from . import analyze_update
+from .report import AnalysisReport, format_method
 from .semdiff import category2_sites, post_update_world
 
 
@@ -61,9 +58,7 @@ def _explain_one(
     key: MethodKey,
     program: Dict[str, ClassFile],
     prepared: PreparedUpdate,
-    closure: RestrictionClosure,
-    confree: Optional[ConFreeVerdict] = None,
-    osr_plans: Optional[OSRMapReport] = None,
+    report: AnalysisReport,
 ) -> List[str]:
     spec = prepared.spec
     reason = spec.minimization_reasons.get(key)
@@ -125,7 +120,7 @@ def _explain_one(
                 verdict = "survives" if site_escapes else "STALE"
                 add(f"  pc {pc}: {instr} — {verdict}: {site_reason}")
 
-    hits = closure.inline_hosts.get(key)
+    hits = report.closure.inline_hosts.get(key)
     if hits:
         restricted = True
         add("restricted by the opt tier: its opt-compiled code would "
@@ -138,17 +133,18 @@ def _explain_one(
             "classes, and inlines nothing restricted — the safe-point "
             "scan ignores it")
 
-    if confree is not None:
-        bc_steps = confree.steps_for(format_method(key))
-        add(f"con-freeness: the update as a whole is {confree.verdict}")
-        if bc_steps:
-            for step in bc_steps:
-                add(f"  {step}")
-        else:
-            add("  no con-freeness step anchors to this method "
-                "(only update-wide rules apply to it)")
+    confree = report.bc_verdict
+    bc_steps = confree.steps_for(format_method(key))
+    add(f"con-freeness: the update as a whole is {confree.verdict}")
+    if bc_steps:
+        for step in bc_steps:
+            add(f"  {step}")
+    else:
+        add("  no con-freeness step anchors to this method "
+            "(only update-wide rules apply to it)")
 
-    if osr_plans is not None and key in osr_plans.targets:
+    osr_plans = report.osr_plans
+    if key in osr_plans.targets:
         add("in-loop OSR: this method's frames can block forever, so the "
             "osrmap pass tried to prove a live-frame remap:")
         add(f"  {osr_plans.verdict_for(key)}")
@@ -164,23 +160,14 @@ def explain_restriction(
     ``query`` (``Class.method`` or ``Class.method(descriptor)``)."""
     program: Dict[str, ClassFile] = dict(compile_prelude())
     program.update(old_classfiles)
-    graph = build_call_graph(program)
-    closure, _ = compute_closure(
-        program, prepared.spec, graph, prepared.new_classfiles
-    )
-    confree = classify_update(old_classfiles, prepared, graph)
-    osr_plans = compute_osr_plans(
-        old_classfiles, prepared, graph=graph, closure=closure
-    )
     keys = match_method_keys(program, query)
     if not keys:
         return (
             f"no method matching {query!r} in the old program "
             f"(expected Class.method or Class.method(descriptor))"
         )
+    report = analyze_update(old_classfiles, prepared)
     lines: List[str] = []
     for key in keys:
-        lines.extend(
-            _explain_one(key, program, prepared, closure, confree, osr_plans)
-        )
+        lines.extend(_explain_one(key, program, prepared, report))
     return "\n".join(lines)

@@ -65,7 +65,12 @@ def method_may_never_return(method: MethodInfo) -> bool:
 def never_return_closure(graph: CallGraph) -> Dict[MethodKey, MethodKey]:
     """Map every method that may never return to the *culprit*: itself
     when its own CFG loops forever, else the (transitive) callee that
-    does. A caller is pinned for as long as any callee runs."""
+    does. A caller is pinned for as long as any callee runs.
+
+    Built once per graph and kept on it: the osrmap pass and the
+    reachability pass read the same map."""
+    if graph.never_return is not None:
+        return graph.never_return
     culprit: Dict[MethodKey, MethodKey] = {}
     worklist: List[MethodKey] = []
     for key in graph.nodes():
@@ -79,6 +84,7 @@ def never_return_closure(graph: CallGraph) -> Dict[MethodKey, MethodKey]:
             if caller not in culprit:
                 culprit[caller] = culprit[current]
                 worklist.append(caller)
+    graph.never_return = culprit
     return culprit
 
 

@@ -62,7 +62,8 @@ CODE_OSR_LOCALS = "DSU-OM03"
 CODE_OSR_COMPENSATION = "DSU-OM04"
 #: structurally ineligible: deleted/native/descriptor-changed/unverifiable
 CODE_OSR_UNSUPPORTED = "DSU-OM05"
-#: legacy pre-flight checks (dsu/validation.py heritage)
+#: specification plausibility: missing transformers, unassigned fields,
+#: bogus blacklist entries, unusable mappings, the empty update
 CODE_MISSING_TRANSFORMER = "DSU-PF01"
 CODE_FIELD_UNASSIGNED = "DSU-PF02"
 CODE_BOGUS_BLACKLIST = "DSU-PF03"
@@ -130,6 +131,10 @@ class AnalysisReport:
     #: ran: verified back-edge remap plans and OM-coded refusals for the
     #: restricted methods whose frames can block forever
     osr_plans: Optional[Any] = None
+    #: the restriction closure of pass 2
+    #: (:class:`repro.analysis.closure.RestrictionClosure`), kept for
+    #: ``dsu-lint --explain``
+    closure: Optional[Any] = None
 
     def add(self, diagnostic: Diagnostic) -> None:
         self.diagnostics.append(diagnostic)

@@ -67,7 +67,6 @@ from .dsu.upt import (
     prepare_update,
     version_prefix,
 )
-from .dsu.validation import validate_update
 from .obs import Metrics, Tracer
 from .obs.export import chrome_trace, render_span_tree, write_chrome_trace
 from .vm.clock import CostModel
@@ -94,7 +93,6 @@ __all__ = [
     "diff_programs",
     "prepare_update",
     "version_prefix",
-    "validate_update",
     "ActiveMethodMapping",
     "derive_identity_mapping",
     # observability

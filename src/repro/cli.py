@@ -117,11 +117,6 @@ def cmd_update(args) -> int:
         old, new, args.old_version, args.new_version,
         transformer_overrides=overrides,
     )
-    from .dsu.validation import validate_update
-
-    for warning in validate_update(old, prepared,
-                                   inloop_osr=not args.paper_fidelity):
-        print(f"[warn] {warning}", file=sys.stderr)
     from .dsu.policy import UpdatePolicy
     from .dsu.safepoint import RetryPolicy
 
@@ -140,6 +135,15 @@ def cmd_update(args) -> int:
     except ValueError as bad:
         print(f"error: {bad}", file=sys.stderr)
         return 2
+    # Warn with the analysis the engine will act on: no "will OSR" when
+    # the rescue is off.
+    from .analysis import SEVERITY_INFO, analyze_update
+
+    report = analyze_update(old, prepared,
+                            inloop_osr=policy.inloop_osr == "auto")
+    for diagnostic in report.diagnostics:
+        if diagnostic.severity != SEVERITY_INFO:
+            print(f"[warn] {diagnostic.message}", file=sys.stderr)
     request = UpdateRequest(prepared, policy=policy)
     vm.events.schedule(args.at, lambda: engine.submit(request))
     vm.run(until_ms=args.until_ms, max_instructions=args.max_instructions)

@@ -451,26 +451,37 @@ class UpdateEngine:
         return result
 
     def _preflight(self, active: _ActiveUpdate) -> bool:
-        """Static pre-flight. ``lint`` runs the :mod:`repro.analysis`
-        analyzer: ``"warn"`` records its findings, ``"strict"`` refuses an
-        update with error diagnostics instead of burning the retry budget
-        on the same blocker. ``bypass`` consults the con-freeness verdict
-        (:mod:`repro.analysis.confree`): an eligible update is applied
-        right here with zero pause. Returns True when the update must go
-        on to acquire a DSU safe point, False when it already ended."""
+        """Static pre-flight: one :func:`repro.analysis.analyze_update`
+        pass when any of ``lint``, ``bypass`` or ``inloop_osr`` is on, none
+        when all three are off. ``lint="warn"`` records its findings,
+        ``"strict"`` refuses an update with errors instead of burning the
+        retry budget on the same blocker. ``bypass`` reads the
+        con-freeness verdict (:mod:`repro.analysis.confree`): an eligible
+        update is applied right here with zero pause. ``inloop_osr="auto"``
+        keeps the rescue plans. Returns True when the update must go on to
+        acquire a DSU safe point, False when it already ended."""
+        policy = active.policy
+        if policy.lint == policy.bypass == policy.inloop_osr == "off":
+            return True
+        from ..analysis import analyze_update
+
         vm = self.vm
         tracer = vm.tracer
-        prepared = active.prepared
-        policy = active.policy
         result = active.result
-        if policy.lint != "off":
-            from ..analysis import analyze_update
-
-            with tracer.span("dsu.preflight.lint", "dsu", mode=policy.lint):
-                report = analyze_update(
-                    dict(vm.classfiles), prepared,
-                    inloop_osr=(policy.inloop_osr == "auto"),
+        with tracer.span("dsu.preflight.lint", "dsu", mode=policy.lint,
+                         bypass=policy.bypass) as span:
+            report = analyze_update(
+                dict(vm.classfiles), active.prepared,
+                inloop_osr=policy.inloop_osr == "auto",
+            )
+            osr_report = report.osr_plans
+            if osr_report is not None:
+                span.args.update(
+                    targets=len(osr_report.targets),
+                    plans=len(osr_report.plans),
+                    refused=len(osr_report.refusals),
                 )
+        if policy.lint != "off":
             result.lint_errors = len(report.errors())
             result.lint_warnings = len(report.warnings())
             result.lint_predicted_abort = report.predicted_abort
@@ -482,11 +493,7 @@ class UpdateEngine:
                 )
                 return False
         if policy.bypass != "off":
-            from ..analysis import classify_update
-
-            with tracer.span("dsu.preflight.confree", "dsu",
-                             mode=policy.bypass):
-                verdict = classify_update(dict(vm.classfiles), prepared)
+            verdict = report.bc_verdict
             result.bc_verdict = verdict.verdict
             if verdict.eligible:
                 self._run_transaction(active, MODE_BYPASS)
@@ -503,39 +510,26 @@ class UpdateEngine:
             # "auto": fall through to the ordinary safe-point protocol.
             tracer.instant("dsu.bypass.ineligible", "dsu",
                            violated=violated)
+        if osr_report is not None:
+            # Reported only by updates that go on to the safe point.
+            active.rescue_mappings = osr_report.mappings()
+            result.osr_plans_verified = len(osr_report.plans)
+            result.osr_plans_refused = sorted(
+                refusal.code for refusal in osr_report.refusals.values()
+            )
         return True
 
     def _signal_vm(self, active: _ActiveUpdate) -> None:
-        """Resolve the restricted sets (and, with ``inloop_osr="auto"``,
-        the rescue plans), then open safe-point round 0."""
+        """Resolve the restricted sets, then open safe-point round 0."""
         vm = self.vm
-        tracer = vm.tracer
-        prepared = active.prepared
-        result = active.result
-        with tracer.span("dsu.resolve-restricted", "dsu") as resolve_span:
-            sets = active.sets = resolve_restricted(vm, prepared.spec)
+        with vm.tracer.span("dsu.resolve-restricted", "dsu") as resolve_span:
+            sets = active.sets = resolve_restricted(vm, active.prepared.spec)
             resolve_span.args.update(
                 hard=len(sets.hard), recompile=len(sets.recompile)
             )
         vm.metrics.observe(
             "dsu.restricted_set_size", len(sets.hard) + len(sets.recompile)
         )
-        if active.policy.inloop_osr == "auto":
-            from ..analysis.osrmap import compute_osr_plans
-
-            with tracer.span("dsu.preflight.osrmap", "dsu") as osrmap_span:
-                osr_report = compute_osr_plans(dict(vm.classfiles), prepared)
-                active.rescue_mappings = osr_report.mappings()
-                result.osr_plans_verified = len(osr_report.plans)
-                result.osr_plans_refused = sorted(
-                    refusal.code
-                    for refusal in osr_report.refusals.values()
-                )
-                osrmap_span.args.update(
-                    targets=len(osr_report.targets),
-                    plans=len(osr_report.plans),
-                    refused=len(osr_report.refusals),
-                )
         self._begin_round(active)
 
     # ------------------------------------------------------------------

@@ -214,11 +214,11 @@ def run_single_update(
         app, from_version, to_version, policy, light_load
     )
     result = holder["result"]
+    prepared = holder["prepared"]
     from ..analysis import analyze_update
 
-    prepared_again = driver.prepare_pair(from_version, to_version)
     lint_report = analyze_update(
-        driver.classfiles(from_version), prepared_again,
+        driver.classfiles(from_version), prepared,
         inloop_osr=not paper_fidelity,
     )
     raw_spec = diff_programs(
@@ -235,13 +235,13 @@ def run_single_update(
         result=result,
         sessions_completed=sum(1 for s in sessions if s.succeeded),
         sessions_failed=sum(1 for s in sessions if s.failed),
-        body_only_supported=prepared_again.spec.method_body_only(),
+        body_only_supported=prepared.spec.method_body_only(),
         predicted_abort=lint_report.predicted_abort,
         bc_verdict=(
             lint_report.bc_verdict.verdict if lint_report.bc_verdict else ""
         ),
         restricted_before=raw_spec.restricted_size(),
-        restricted_after=prepared_again.spec.restricted_size(),
+        restricted_after=prepared.spec.restricted_size(),
     )
     expected = expected_outcome(app, from_version, to_version)
     if expected is not None:

@@ -146,18 +146,6 @@ class Tracer:
             self.roots.append(span)
         return span
 
-    def close_open(self, note: str = "trace finalized") -> int:
-        """Force-close every open span (e.g. before exporting a trace cut
-        mid-update). Returns how many were closed."""
-        closed = 0
-        now = self.clock.now_ms
-        while self._stack:
-            dangling = self._stack.pop()
-            dangling.end_ms = now
-            dangling.args.setdefault("forced_close", note)
-            closed += 1
-        return closed
-
     # ------------------------------------------------------------------
     # inspection
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -103,43 +103,3 @@ class Clock:
     @property
     def busy_cycles(self) -> int:
         return self.cycles - self.idle_cycles
-
-
-@dataclass
-class PhaseTimer:
-    """Accumulates named phase durations (used for pause-time breakdowns).
-
-    ``start``/``stop`` pairs of the same phase may nest (each ``start``
-    pushes onto a per-phase stack); only the *outermost* ``stop`` adds to
-    ``totals_ms``, so a phase that re-enters itself is counted once, not
-    double. A ``stop`` with no matching ``start`` is tolerated — it
-    returns ``0.0`` and records the mismatch in :attr:`anomalies` instead
-    of raising or silently corrupting the accounting.
-    """
-
-    clock: Clock
-    totals_ms: dict = field(default_factory=dict)
-    _starts: dict = field(default_factory=dict)
-    #: mismatched start/stop pairs observed (tolerated, but reportable)
-    anomalies: list = field(default_factory=list)
-
-    def start(self, phase: str) -> None:
-        self._starts.setdefault(phase, []).append(self.clock.cycles)
-
-    def stop(self, phase: str) -> float:
-        stack = self._starts.get(phase)
-        if not stack:
-            self.anomalies.append(
-                f"stop({phase!r}) without a matching start"
-            )
-            return 0.0
-        started = stack.pop()
-        elapsed = self.clock.cycles - started
-        ms = elapsed / self.clock.costs.cycles_per_ms
-        if not stack:  # outermost stop: account the whole nested window
-            self.totals_ms[phase] = self.totals_ms.get(phase, 0.0) + ms
-        return ms
-
-    def open_phases(self) -> list:
-        """Phases with a ``start`` still awaiting its ``stop``."""
-        return sorted(phase for phase, stack in self._starts.items() if stack)

@@ -83,9 +83,5 @@ class VMThread:
     def is_alive(self) -> bool:
         return self.state != VMThread.DEAD
 
-    def stack_method_entries(self):
-        """Method entries currently on this thread's stack (DSU stack scan)."""
-        return [frame.code.entry for frame in self.frames]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VMThread {self.name} {self.state} depth={len(self.frames)}>"

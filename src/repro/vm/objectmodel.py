@@ -104,9 +104,6 @@ class ObjectModel:
             raise VMTrap("null dereference")
         return self.registry.by_class_id(self.heap.read(address + HEADER_TIB))
 
-    def set_class(self, address: int, rvmclass: RVMClass) -> None:
-        self.heap.write(address + HEADER_TIB, rvmclass.id)
-
     def status(self, address: int) -> int:
         return self.heap.read(address + HEADER_STATUS)
 

@@ -65,8 +65,5 @@ class TIB:
         """Drop every machine-code pointer (forces recompilation)."""
         self.code = [None] * len(self.methods)
 
-    def invalidate_slot(self, slot: int) -> None:
-        self.code[slot] = None
-
     def __len__(self) -> int:
         return len(self.methods)

@@ -165,6 +165,28 @@ class TestNeverReturn:
         assert culprits[("Spin", "outer", "()V")] == forever
         assert ("Spin", "clean", "()V") not in culprits
 
+    def test_the_map_is_built_once_per_graph(self):
+        graph = build_call_graph(compile_source(NEVER_RETURN, version="1.0"))
+        assert never_return_closure(graph) is never_return_closure(graph)
+
+    def test_one_analysis_classifies_each_method_once(self, monkeypatch):
+        # The osrmap and reachability passes share the graph's map, so
+        # one analyze_update walks each method's CFG exactly once.
+        from repro.analysis import reachability
+
+        classify = reachability.method_may_never_return
+        calls = {}
+
+        def counting(method):
+            calls[id(method)] = calls.get(id(method), 0) + 1
+            return classify(method)
+
+        monkeypatch.setattr(reachability, "method_may_never_return", counting)
+        v2 = SERVER_V1.replace("beat = beat + 1;", "beat = beat + 2;")
+        _, _, report = analyze_pair(SERVER_V1, v2)
+        assert report.osr_plans is not None
+        assert calls and set(calls.values()) == {1}
+
 
 # ---------------------------------------------------------------------------
 # Passes 2+3 end to end: closure, staleness, safe-point reachability
@@ -471,6 +493,109 @@ class Main {
         prepared = fixture.prepare(SPIN_V1.replace("n + 1", "n + 2"))
         with pytest.raises(ValueError):
             UpdateRequest(prepared, policy=UpdatePolicy(lint="eventually"))
+
+
+# ---------------------------------------------------------------------------
+# One analysis per update attempt: lint, bypass and the rescue plans read
+# the same report, so ``submit`` builds at most one call graph
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Counts ``build_call_graph`` calls, wherever a module bound it."""
+    import sys
+
+    original = build_call_graph
+    calls = []
+
+    def counting(classfiles):
+        calls.append(1)
+        return original(classfiles)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro.")
+                and getattr(module, "build_call_graph", None) is original):
+            monkeypatch.setattr(module, "build_call_graph", counting)
+    return calls
+
+
+GREETER_V1 = """
+class Greeter { static string greet() { return "v1"; } }
+class Main {
+    static int rounds;
+    static void main() {
+        while (rounds < 10) {
+            Sys.print(Greeter.greet());
+            Sys.sleep(10);
+            rounds = rounds + 1;
+        }
+    }
+}
+"""
+
+
+def submit_once(v1, v2, policy):
+    from tests.dsu_helpers import UpdateFixture
+
+    fixture = UpdateFixture(v1).start()
+    prepared = fixture.prepare(v2)
+    return fixture, fixture.engine.submit(UpdateRequest(prepared, policy))
+
+
+class TestOneAnalysisPerSubmit:
+    @pytest.mark.parametrize("policy, builds", [
+        (UpdatePolicy(), 0),
+        (UpdatePolicy.paper(), 0),
+        (UpdatePolicy.paper(inloop_osr="auto"), 1),
+        (UpdatePolicy.fast(), 1),
+        (UpdatePolicy.safe(), 1),
+    ], ids=["default", "paper", "paper-inloop-osr", "fast", "safe"])
+    def test_call_graphs_per_submit_on_a_safe_point_update(
+        self, graph_builds, policy, builds
+    ):
+        # A new field and a changed body: never bypass-eligible, and the
+        # con-freeness rules have a changed method to walk the graph for.
+        from tests.test_gc_extras import UPDATE_V1, UPDATE_V2
+
+        v2 = UPDATE_V2.replace("rounds + 1", "rounds + 2")
+        _, result = submit_once(UPDATE_V1, v2, policy)
+        assert graph_builds == [1] * builds
+        if policy.bypass != "off":
+            assert result.bc_verdict == "requires-safepoint"
+
+    def test_a_bypassed_update_builds_one_graph_and_reports_no_plans(
+        self, graph_builds
+    ):
+        _, result = submit_once(
+            GREETER_V1, GREETER_V1.replace('"v1"', '"v2"'),
+            UpdatePolicy.fast(),
+        )
+        assert result.bypassed
+        assert graph_builds == [1]
+        assert result.bc_verdict == "bypass-eligible"
+        assert result.osr_plans_verified == 0
+        assert result.osr_plans_refused == []
+        assert result.lint_warnings == 0
+
+    def test_fields_follow_the_policy_not_the_shared_report(self):
+        # In-loop OSR alone: the plans are reported, while the lint counts
+        # and the bypass verdict stay unset though the report has them.
+        fixture, result = submit_once(
+            SPIN_V1, SPIN_V1.replace("n + 1", "n + 2"),
+            UpdatePolicy(retry=RetryPolicy(timeout_ms=200.0),
+                         inloop_osr="auto"),
+        )
+        assert result.osr_plans_verified == 1
+        assert result.osr_plans_refused == []
+        assert (result.lint_errors, result.lint_warnings) == (0, 0)
+        assert result.lint_predicted_abort == ""
+        assert result.bc_verdict == ""
+        spans = {span.name: span for span in fixture.vm.tracer.walk()}
+        assert "dsu.preflight.confree" not in spans
+        assert "dsu.preflight.osrmap" not in spans
+        lint = spans["dsu.preflight.lint"]
+        assert lint.args == {"mode": "off", "bypass": "off", "targets": 1,
+                             "plans": 1, "refused": 0}
 
 
 # ---------------------------------------------------------------------------

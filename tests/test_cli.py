@@ -160,6 +160,25 @@ class Main { static void main() { Loop.spin(); } }
         assert code == 1
         assert "aborted" in captured.err
 
+    def test_update_warnings_follow_the_inloop_osr_flag(self, tmp_path,
+                                                        capsys):
+        # With the rescue off, the pre-flight warnings must not promise
+        # one: the spinner is reported as an abort, never as "will OSR".
+        v1 = tmp_path / "s1.jm"
+        v2 = tmp_path / "s2.jm"
+        v1.write_text(SPIN_V1)
+        v2.write_text(SPIN_V1.replace("n + 1", "n + 2"))
+        code = main([
+            "update", str(v1), str(v2), "--at", "20",
+            "--timeout-ms", "100", "--until-ms", "400",
+            "--inloop-osr", "off",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "will OSR" not in captured.err
+        assert "[warn] restricted method Loop.spin()V can never leave the " \
+            "stack" in captured.err
+
     @pytest.mark.parametrize("flags", [
         ["--dsu-transform", "lazy", "--dsu-heap-grow"],
         ["--auto-read-barrier"],

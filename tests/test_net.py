@@ -13,7 +13,7 @@ from repro.net.loadgen import (
     SessionLoad,
 )
 from repro.net.sockets import Network
-from repro.vm.clock import Clock, CostModel, PhaseTimer
+from repro.vm.clock import Clock, CostModel
 from repro.vm.events import EventQueue
 
 
@@ -170,15 +170,6 @@ class TestClock:
         clock.advance_to_ms(1.0)
         assert clock.busy_cycles == 100
         assert clock.idle_cycles == 900
-
-    def test_phase_timer(self):
-        clock = Clock(CostModel(cycles_per_ms=1000))
-        timer = PhaseTimer(clock)
-        timer.start("gc")
-        clock.tick(2000)
-        elapsed = timer.stop("gc")
-        assert elapsed == 2.0
-        assert timer.totals_ms["gc"] == 2.0
 
 
 class _LoadgenVM:

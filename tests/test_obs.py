@@ -2,11 +2,11 @@
 `repro.api` facade contract.
 
 Covers the span-tree invariants on hand-built traces, the Chrome
-``trace_event`` exporter against a golden file, PhaseTimer's tolerance of
-mismatched start/stop pairs, metrics-registry consistency after real
-updates, well-formedness of every bundled update's trace (aborts and
-rollbacks included), and the `UpdateRequest`/`submit()` facade contract
-(the legacy ``request_update`` shim is gone).
+``trace_event`` exporter against a golden file, metrics-registry
+consistency after real updates, well-formedness of every bundled
+update's trace (aborts and rollbacks included), and the
+`UpdateRequest`/`submit()` facade contract (the legacy
+``request_update`` shim is gone).
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.dsu.policy import UpdatePolicy
 from repro.dsu.safepoint import RetryPolicy
 from repro.obs import Metrics, Tracer
 from repro.obs.export import chrome_trace, render_span_tree
-from repro.vm.clock import Clock, PhaseTimer
 from tests.dsu_helpers import UpdateFixture
 from tests.test_gc_extras import UPDATE_V1, UPDATE_V2
 
@@ -226,43 +225,6 @@ class TestMetrics:
         assert nearest_rank(ordered, 0.5) == 51.0
         assert nearest_rank(ordered, 1.0) == 100.0  # clamped to the max
         assert nearest_rank([7.0], 0.99) == 7.0
-
-
-# ---------------------------------------------------------------------------
-# PhaseTimer tolerance (mismatched / nested start-stop pairs)
-
-
-class TestPhaseTimer:
-    @staticmethod
-    def make_timer():
-        clock = Clock()
-        return PhaseTimer(clock), clock
-
-    def test_unmatched_stop_reports_anomaly_not_crash(self):
-        timer, _ = self.make_timer()
-        assert timer.stop("gc") == 0.0
-        assert timer.anomalies == ["stop('gc') without a matching start"]
-        assert timer.totals_ms == {}
-
-    def test_nested_same_phase_counts_wall_time_once(self):
-        timer, clock = self.make_timer()
-        per_ms = clock.costs.cycles_per_ms
-        timer.start("gc")
-        clock.tick(5 * per_ms)
-        timer.start("gc")  # re-entrant window
-        clock.tick(3 * per_ms)
-        inner_ms = timer.stop("gc")
-        clock.tick(2 * per_ms)
-        timer.stop("gc")
-        assert inner_ms == pytest.approx(3.0)
-        assert timer.totals_ms["gc"] == pytest.approx(10.0)
-        assert timer.anomalies == []
-        assert timer.open_phases() == []
-
-    def test_open_phases_reported(self):
-        timer, _ = self.make_timer()
-        timer.start("transform")
-        assert timer.open_phases() == ["transform"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Tests for update pre-flight validation."""
+"""Tests for the specification and transformer checks of the update
+analysis: the error- and warning-severity messages of one
+``analyze_update`` report."""
 
 import pytest
 
+from repro.analysis import SEVERITY_INFO, analyze_update
 from repro.compiler.compile import compile_source
 from repro.dsu.upt import ActiveMethodMapping, prepare_update
-from repro.dsu.validation import validate_update
 
 V1 = """
 class User {
@@ -25,6 +27,15 @@ class User {
 class Tag { string text; }
 class Main { static void main() { } }
 """
+
+
+def validate_update(old, prepared):
+    """The error and warning messages, in report order (empty = clean)."""
+    return [
+        diagnostic.message
+        for diagnostic in analyze_update(old, prepared).diagnostics
+        if diagnostic.severity != SEVERITY_INFO
+    ]
 
 
 def prepare(overrides=None, **kwargs):
