@@ -20,7 +20,7 @@ Four passes share one bytecode call graph:
    suggestions;
 4. **transformer type checking** (:mod:`.transformers`) — abstract
    interpretation of ``jvolveObject``/``jvolveClass`` against the
-   reconstructed transform-time class table.
+   transform-time class table the UPT compiled them against.
 
 A fifth pass, **con-freeness classification** (:mod:`.confree`), reuses
 pass 1's graph to decide whether the update is ``bypass-eligible`` for

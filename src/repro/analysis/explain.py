@@ -144,7 +144,7 @@ def _explain_one(
             "(only update-wide rules apply to it)")
 
     osr_plans = report.osr_plans
-    if key in osr_plans.targets:
+    if osr_plans is not None and key in osr_plans.targets:
         add("in-loop OSR: this method's frames can block forever, so the "
             "osrmap pass tried to prove a live-frame remap:")
         add(f"  {osr_plans.verdict_for(key)}")
@@ -155,9 +155,12 @@ def explain_restriction(
     old_classfiles: Dict[str, ClassFile],
     prepared: PreparedUpdate,
     query: str,
+    inloop_osr: bool = True,
 ) -> str:
     """Full explanation text for every old-program method matching
-    ``query`` (``Class.method`` or ``Class.method(descriptor)``)."""
+    ``query`` (``Class.method`` or ``Class.method(descriptor)``).
+    ``inloop_osr`` is :func:`analyze_update`'s: without it the osrmap pass
+    is skipped and no in-loop OSR verdict is given."""
     program: Dict[str, ClassFile] = dict(compile_prelude())
     program.update(old_classfiles)
     keys = match_method_keys(program, query)
@@ -166,7 +169,7 @@ def explain_restriction(
             f"no method matching {query!r} in the old program "
             f"(expected Class.method or Class.method(descriptor))"
         )
-    report = analyze_update(old_classfiles, prepared)
+    report = analyze_update(old_classfiles, prepared, inloop_osr=inloop_osr)
     lines: List[str] = []
     for key in keys:
         lines.extend(_explain_one(key, program, prepared, report))

@@ -8,9 +8,11 @@ stubs don't carry or write values the new layouts reject — and at
 runtime that surfaces as an abort in the transform phase, after the
 safe point was already paid for.
 
-This pass reconstructs the engine's transform-time class table exactly
-(:func:`repro.dsu.install.install_classes` builds the same
-stubs) and abstract-interprets every transformer method against it with
+This pass builds the same transform-time class table the UPT compiled
+the transformers against and the installer
+(:func:`repro.dsu.install.install_classes`) installs: one stub rule,
+:func:`repro.dsu.upt.old_class_stub`, serves all three. It
+abstract-interprets every transformer method against that table with
 the real bytecode verifier, honoring the compiler's access-override flag
 the way the classloader does. It subsumes the old PUTFIELD field-coverage
 heuristic from ``dsu/validation.py`` — now keyed by *(owner, field)* so a
@@ -20,13 +22,13 @@ field.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..bytecode.classfile import ClassFile
 from ..bytecode.verifier import ClassTable, Verifier, VerifyError
 from ..compiler.compile import compile_prelude
 from ..compiler.jastadd import has_access_override
-from ..dsu.upt import TRANSFORMERS_CLASS, PreparedUpdate
+from ..dsu.upt import TRANSFORMERS_CLASS, PreparedUpdate, old_class_stub
 from .report import (
     CODE_FIELD_UNASSIGNED,
     CODE_MISSING_TRANSFORMER,
@@ -42,37 +44,21 @@ _READ_OPS = ("GETFIELD", "GETSTATIC")
 _WRITE_OPS = ("PUTFIELD", "PUTSTATIC")
 
 
-def _stub_superclass(superclass: Optional[str], spec, prefix: str) -> str:
-    if superclass is None:
-        return "Object"
-    if superclass in spec.class_updates or superclass in spec.deleted_classes:
-        return prefix + superclass
-    return superclass
-
-
 def build_transform_table(
     old_classfiles: Dict[str, ClassFile], prepared: PreparedUpdate
 ) -> Dict[str, ClassFile]:
-    """The class table transformers execute against, reconstructed the way
-    :func:`repro.dsu.install.install_classes` builds it: prelude + the whole
-    new program + field-only stubs of every replaced/deleted class +
-    the transformer classes themselves."""
+    """The class table transformers execute against: prelude + the whole
+    new program + the :func:`~repro.dsu.upt.old_class_stub` of every
+    replaced/deleted class + the transformer classes themselves."""
     spec = prepared.spec
-    prefix = prepared.prefix
     table: Dict[str, ClassFile] = dict(compile_prelude())
     for name, classfile in old_classfiles.items():
         table.setdefault(name, classfile)
     table.update(prepared.new_classfiles)
     for name in spec.class_updates | spec.deleted_classes:
-        old_cf = old_classfiles.get(name)
-        if old_cf is None:
-            continue
-        table[prefix + name] = ClassFile(
-            prefix + name,
-            _stub_superclass(old_cf.superclass, spec, prefix),
-            fields=list(old_cf.fields),
-            source_version=old_cf.source_version,
-        )
+        if name in old_classfiles:
+            stub = old_class_stub(old_classfiles[name], spec)
+            table[stub.name] = stub
     for name in spec.deleted_classes:
         table.pop(name, None)
     table.update(prepared.transformer_classfiles)

@@ -60,10 +60,6 @@ class MethodInfo:
     def key(self) -> Tuple[str, str]:
         return (self.name, self.descriptor)
 
-    @property
-    def is_constructor(self) -> bool:
-        return self.name == CTOR_NAME
-
     def bytecode_hash(self) -> str:
         """Stable digest of the method body, used by the UPT to detect
         method-body changes."""

@@ -318,7 +318,8 @@ def cmd_dsu_lint(args) -> int:
         for label, old, prepared, _, _ in targets:
             if len(targets) > 1:
                 print(f"== {label}")
-            print(explain_restriction(old, prepared, args.explain))
+            print(explain_restriction(old, prepared, args.explain,
+                                      inloop_osr=not args.paper_fidelity))
         return 0
 
     reports = [

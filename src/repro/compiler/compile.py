@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from ..bytecode.classfile import ClassFile
 from ..lang import ast_nodes as ast
@@ -39,9 +39,12 @@ def compile_program(
     version: str = "",
     access_checks: bool = True,
     allow_final_writes: bool = False,
+    context: Optional[Mapping[str, ClassFile]] = None,
 ) -> Dict[str, ClassFile]:
-    """Compile a parsed program into class files (user classes only)."""
-    symbols = ProgramSymbols.build(program)
+    """Compile a parsed program into class files (user classes only).
+    ``context`` holds compiled classes the program may refer to; they are
+    neither recompiled nor returned."""
+    symbols = ProgramSymbols.build(program, classfiles=context)
     checker = TypeChecker(symbols, access_checks, allow_final_writes)
     checker.check_program(program)
     codegen = ClassCodegen(symbols, checker, version)

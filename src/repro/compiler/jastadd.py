@@ -13,10 +13,11 @@ access-override exemption applies.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Optional
 
 from ..bytecode.classfile import ClassFile
-from .compile import compile_source
+from ..lang.parser import parse
+from .compile import compile_program
 
 #: Attribute stamped onto transformer class files. The VM refuses to load a
 #: class carrying this flag outside a dynamic update (see
@@ -24,14 +25,20 @@ from .compile import compile_source
 ACCESS_OVERRIDE_FLAG = "jvolve_access_override"
 
 
-def compile_transformers(source: str, filename: str = "<transformers>") -> Dict[str, ClassFile]:
-    """Compile a transformers source file with the access-override extension."""
-    classfiles = compile_source(
-        source,
-        filename,
+def compile_transformers(
+    source: str,
+    filename: str = "<transformers>",
+    context: Optional[Mapping[str, ClassFile]] = None,
+) -> Dict[str, ClassFile]:
+    """Compile a transformers source file with the access-override
+    extension, against the declarations of the ``context`` class files
+    (for an update: the new program plus the old-class stubs)."""
+    classfiles = compile_program(
+        parse(source, filename),
         version="jvolve-transformers",
         access_checks=False,
         allow_final_writes=True,
+        context=context,
     )
     for classfile in classfiles.values():
         setattr(classfile, ACCESS_OVERRIDE_FLAG, True)

@@ -9,12 +9,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from ..bytecode.classfile import CLINIT_NAME, ClassFile
+from ..bytecode.classfile import CLINIT_NAME
 from ..vm.classloader import ClassLoadError
 from ..vm.machinecode import MethodEntry
 from ..vm.rvmclass import RVMClass
 from .faults import FaultInjector
-from .upt import PreparedUpdate
+from .upt import PreparedUpdate, old_class_stub
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..vm.vm import VM
@@ -126,25 +126,14 @@ def install_classes(vm: "VM", active: "_ActiveUpdate",
 def _rename_old_class(vm: "VM", prepared: PreparedUpdate, name: str,
                       old_class: RVMClass) -> RVMClass:
     """Rename one replaced or deleted class out of the live namespace and
-    swap in a field-only stub class file so transformer verification can
+    swap in its field-only stub class file so transformer verification can
     still see its layout."""
-    spec = prepared.spec
-    prefix = prepared.prefix
-    old_cf = vm.classfiles.pop(name)
-    superclass = old_cf.superclass
-    if superclass is None:
-        superclass = "Object"
-    elif superclass in spec.class_updates or superclass in spec.deleted_classes:
-        superclass = prefix + superclass
-    stub = ClassFile(
-        prefix + name, superclass, fields=list(old_cf.fields),
-        source_version=old_cf.source_version,
-    )
-    vm.registry.rename(old_class, prefix + name)
+    stub = old_class_stub(vm.classfiles.pop(name), prepared.spec)
+    vm.registry.rename(old_class, stub.name)
     old_class.classfile = stub
     old_class.obsolete = True
     old_class.tib.invalidate_all()
-    vm.classfiles[prefix + name] = stub
+    vm.classfiles[stub.name] = stub
     return old_class
 
 

@@ -9,27 +9,30 @@ Given the class files of two program versions, the UPT:
 1. classifies every change — class updates (signature/layout), method body
    updates, indirect method updates (category 2) — into an
    :class:`~repro.dsu.specification.UpdateSpecification`;
-2. generates the *old-class stubs* (``v131_User``-style, fields only) used
-   to compile transformers, with field types mapped so that fields of old
-   objects are typed by the **new** versions of updated classes (paper
-   §2.3: old object fields point at transformed objects);
+2. builds the *old-class stubs* (``v131_User``-style class files, fields
+   only) with :func:`old_class_stub`, with field types mapped so that
+   fields of old objects are typed by the **new** versions of updated
+   classes (paper §2.3: old object fields point at transformed objects).
+   This one function is the transform-time class table's only stub rule:
+   the installer (:mod:`repro.dsu.install`) renames the old classes to
+   these same stubs and ``dsu-lint`` verifies transformers against them;
 3. generates the default ``JvolveTransformers`` source, which copies
    unchanged fields and leaves new/retyped fields at their defaults, and
    which programmers may override per class;
-4. compiles the transformers with the access-override compiler
-   (:mod:`repro.compiler.jastadd`), producing a :class:`PreparedUpdate`
-   that the DSU engine consumes.
+4. compiles only that source with the access-override compiler
+   (:mod:`repro.compiler.jastadd`), type-checked against the declarations
+   of the new program's class files plus the stubs, producing a
+   :class:`PreparedUpdate` that the DSU engine consumes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..bytecode.classfile import CLINIT_NAME, CTOR_NAME, ClassFile, MethodInfo
+from ..bytecode.classfile import CLINIT_NAME, ClassFile, MethodInfo
 from ..compiler.jastadd import compile_transformers
-from ..lang.types import parse_descriptor, parse_method_descriptor
 from .specification import ClassChangeSummary, MethodKey, UpdateSpecification
 
 TRANSFORMERS_CLASS = "JvolveTransformers"
@@ -269,133 +272,41 @@ def _user_methods(classfile: ClassFile) -> Dict[Tuple[str, str], str]:
 
 
 # ---------------------------------------------------------------------------
-# source generation (stubs and transformers)
+# old-class stubs and the default transformers
 
 
-def _type_text(descriptor: str, rename: Dict[str, str]) -> str:
-    """Descriptor -> jmini type syntax, applying a class-name mapping."""
-    if descriptor.startswith("["):
-        return _type_text(descriptor[1:], rename) + "[]"
-    if descriptor == "I":
-        return "int"
-    if descriptor == "Z":
-        return "bool"
-    if descriptor == "S":
-        return "string"
-    if descriptor == "V":
-        return "void"
-    if descriptor.startswith("L"):
-        name = descriptor[1:-1]
-        return rename.get(name, name)
-    raise ValueError(f"unrenderable descriptor {descriptor!r}")
-
-
-def generate_old_stubs(
-    old_classfiles: Dict[str, ClassFile], spec: UpdateSpecification
-) -> str:
-    """Field-only stub declarations for the old versions of updated classes.
+def old_class_stub(classfile: ClassFile, spec: UpdateSpecification) -> ClassFile:
+    """The field-only stub of one replaced or deleted old class, renamed
+    ``User`` -> ``v131_User``: the class transformers are compiled, linted
+    and run against.
 
     "The v131_User class contains only field definitions from the original
-    class; all methods have been removed" (§2.3). Field types referring to
-    updated classes keep the *new* names, because by the time a transformer
-    dereferences an old object's field the referent has been forwarded to
-    its transformed (new-version) copy.
+    class; all methods have been removed" (§2.3). A superclass that is
+    itself replaced or deleted is the renamed stub too. Field types
+    referring to updated classes keep the *new* names, because by the time
+    a transformer dereferences an old object's field the referent has been
+    forwarded to its transformed (new-version) copy; a deleted class has
+    no new version, so fields of its type are exposed as ``Object``.
+    Deleted classes themselves still get stubs so transformers can read
+    their final static state (e.g. folding a deleted log class's counters
+    into a surviving class).
     """
     prefix = version_prefix(spec.old_version)
-    # Deleted classes have no new version; old fields of those types are
-    # exposed as Object. Deleted classes themselves still get stubs so
-    # transformers can read their final static state (e.g. folding a
-    # deleted log class's counters into a surviving class).
-    rename = {name: "Object" for name in spec.deleted_classes}
-    super_rename = {
-        name: prefix + name for name in spec.class_updates | spec.deleted_classes
-    }
-    lines: List[str] = []
-    for name in sorted(spec.class_updates | spec.deleted_classes):
-        classfile = old_classfiles[name]
-        superclass = classfile.superclass or "Object"
-        superclass = super_rename.get(superclass, rename.get(superclass, superclass))
-        lines.append(f"class {prefix}{name} extends {superclass} {{")
-        for field_info in classfile.fields:
-            static = "static " if field_info.is_static else ""
-            lines.append(
-                f"    {static}{_type_text(field_info.descriptor, rename)} "
-                f"{field_info.name};"
-            )
-        lines.append("}")
-    return "\n".join(lines)
-
-
-def generate_new_program_stubs(new_classfiles: Dict[str, ClassFile]) -> str:
-    """Declaration-only stubs of the whole new program, used as the
-    compilation context for transformers (bodies are dummies; only the
-    produced ``JvolveTransformers`` class file is kept)."""
-    lines: List[str] = []
-    for name in sorted(new_classfiles):
-        classfile = new_classfiles[name]
-        extends = f" extends {classfile.superclass}" if classfile.superclass else ""
-        lines.append(f"class {name}{extends} {{")
-        for field_info in classfile.fields:
-            static = "static " if field_info.is_static else ""
-            lines.append(
-                f"    {static}{_type_text(field_info.descriptor, {})} {field_info.name};"
-            )
-        for key, method in classfile.methods.items():
-            if method.name == CLINIT_NAME:
-                continue
-            if method.name == CTOR_NAME:
-                lines.append(_ctor_stub(name, method, new_classfiles))
-            else:
-                lines.append(_method_stub(method))
-        lines.append("}")
-    return "\n".join(lines)
-
-
-def _dummy_value(descriptor: str) -> str:
-    if descriptor == "I":
-        return "0"
-    if descriptor == "Z":
-        return "false"
-    return f"({_type_text(descriptor, {})})null"
-
-
-def _dummy_return(descriptor: str) -> str:
-    if descriptor == "V":
-        return ""
-    if descriptor == "I":
-        return "return 0;"
-    if descriptor == "Z":
-        return "return false;"
-    return "return null;"
-
-
-def _ctor_stub(name: str, method: MethodInfo, classfiles: Dict[str, ClassFile]) -> str:
-    params, _ = parse_method_descriptor(method.descriptor)
-    param_text = ", ".join(
-        f"{_type_text(p.descriptor, {})} p{i}" for i, p in enumerate(params)
-    )
-    superclass = classfiles[name].superclass
-    super_call = ""
-    if superclass and superclass in classfiles:
-        super_ctors = classfiles[superclass].methods_named(CTOR_NAME)
-        if super_ctors and not any(c.descriptor == "()V" for c in super_ctors):
-            chosen = sorted(super_ctors, key=lambda c: c.descriptor)[0]
-            super_params, _ = parse_method_descriptor(chosen.descriptor)
-            args = ", ".join(_dummy_value(p.descriptor) for p in super_params)
-            super_call = f"super({args});"
-    return f"    {name}({param_text}) {{ {super_call} }}"
-
-
-def _method_stub(method: MethodInfo) -> str:
-    params, return_type = parse_method_descriptor(method.descriptor)
-    param_text = ", ".join(
-        f"{_type_text(p.descriptor, {})} p{i}" for i, p in enumerate(params)
-    )
-    static = "static " if method.is_static else ""
-    body = _dummy_return(return_type.descriptor)
-    return (
-        f"    {static}{_type_text(return_type.descriptor, {})} "
-        f"{method.name}({param_text}) {{ {body} }}"
+    superclass = classfile.superclass
+    if superclass is None:
+        superclass = "Object"
+    elif superclass in spec.class_updates or superclass in spec.deleted_classes:
+        superclass = prefix + superclass
+    fields = []
+    for info in classfile.fields:
+        element = info.descriptor.lstrip("[")
+        if element[1:-1] in spec.deleted_classes:  # "LGone;" -> "Gone"
+            dims = len(info.descriptor) - len(element)
+            info = replace(info, descriptor="[" * dims + "LObject;")
+        fields.append(info)
+    return ClassFile(
+        prefix + classfile.name, superclass, fields=fields,
+        source_version=classfile.source_version,
     )
 
 
@@ -502,14 +413,13 @@ def prepare_update(
     transformers_source = generate_default_transformers(
         old_classfiles, new_classfiles, spec, transformer_overrides, transformer_helpers
     )
-    compilation_unit = "\n".join(
-        [
-            generate_new_program_stubs(new_classfiles),
-            generate_old_stubs(old_classfiles, spec),
-            transformers_source,
-        ]
+    context = dict(new_classfiles)
+    for name in sorted(spec.class_updates | spec.deleted_classes):
+        stub = old_class_stub(old_classfiles[name], spec)
+        context[stub.name] = stub
+    compiled = compile_transformers(
+        transformers_source, f"<transformers {new_version}>", context
     )
-    compiled = compile_transformers(compilation_unit, f"<transformers {new_version}>")
     transformer_classfiles = {
         name: cf for name, cf in compiled.items() if name == TRANSFORMERS_CLASS
     }

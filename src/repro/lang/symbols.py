@@ -1,6 +1,7 @@
 """Symbol tables for jmini programs.
 
-Built from a parsed AST (plus the prelude), the symbol table answers the
+Built from a parsed AST (plus the prelude, plus any already-compiled class
+files the program is checked against), the symbol table answers the
 questions the type checker and code generator ask: field lookup through the
 hierarchy, method overload resolution, constructor lookup, assignability.
 """
@@ -8,8 +9,9 @@ hierarchy, method overload resolution, constructor lookup, assignability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..bytecode.classfile import CLINIT_NAME, CTOR_NAME, ClassFile
 from . import ast_nodes as ast
 from .errors import TypeError_
 from .prelude import parse_prelude
@@ -18,6 +20,8 @@ from .types import (
     SubtypeOracle,
     Type,
     method_descriptor,
+    parse_descriptor,
+    parse_method_descriptor,
 )
 
 
@@ -86,13 +90,47 @@ class ProgramSymbols:
     # construction
 
     @classmethod
-    def build(cls, program: ast.Program, include_prelude: bool = True) -> "ProgramSymbols":
+    def build(
+        cls,
+        program: ast.Program,
+        include_prelude: bool = True,
+        classfiles: Optional[Mapping[str, ClassFile]] = None,
+    ) -> "ProgramSymbols":
+        """``classfiles`` are compiled classes ``program`` may refer to;
+        only their declarations are read."""
         table = cls()
         if include_prelude:
             table._ingest(parse_prelude(), is_prelude=True)
+        for classfile in (classfiles or {}).values():
+            table._ingest_classfile(classfile)
         table._ingest(program, is_prelude=False)
         table._check_hierarchy()
         return table
+
+    def _ingest_classfile(self, classfile: ClassFile) -> None:
+        if classfile.name in self.classes:
+            raise TypeError_(f"duplicate class {classfile.name}", _unknown())
+        symbol = ClassSymbol(classfile.name, classfile.superclass)
+        self.classes[classfile.name] = symbol
+        for info in classfile.fields:
+            symbol.fields[info.name] = FieldSymbol(
+                info.name, parse_descriptor(info.descriptor), info.is_static,
+                info.is_final, info.access, classfile.name, None,
+            )
+        for info in classfile.methods.values():
+            params, return_type = parse_method_descriptor(info.descriptor)
+            if info.name == CTOR_NAME:
+                symbol.constructors.append(
+                    ConstructorSymbol(classfile.name, params, info.access, None)
+                )
+            elif info.name != CLINIT_NAME:
+                symbol.methods[info.key] = MethodSymbol(
+                    info.name, params, return_type, info.is_static,
+                    info.is_native, info.access, classfile.name, None,
+                )
+        if not symbol.constructors:
+            # A field-only stub: the implicit default constructor.
+            symbol.constructors.append(ConstructorSymbol(classfile.name, [], "public", None))
 
     def _ingest(self, program: ast.Program, is_prelude: bool) -> None:
         for decl in program.classes:

@@ -86,9 +86,6 @@ class Clock:
         """Current simulated time in milliseconds."""
         return self.cycles / self.costs.cycles_per_ms
 
-    def ms_to_cycles(self, ms: float) -> int:
-        return int(ms * self.costs.cycles_per_ms)
-
     def advance_to_ms(self, ms: float) -> None:
         """Jump forward (never backward) to an absolute simulated time.
 

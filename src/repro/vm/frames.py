@@ -42,10 +42,6 @@ class Frame:
         #: bytecode version of the method when this frame was pushed
         self.entered_at_version = code.entry.bytecode_version
 
-    @property
-    def method_entry(self):
-        return self.code.entry
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Frame {self.code.entry.qualified_name} pc={self.pc}>"
 

@@ -51,9 +51,6 @@ class CompiledMethod:
     def is_base(self) -> bool:
         return self.tier == BASE_TIER
 
-    def reference_map_at(self, pc: int):
-        return self.stack_states[pc].reference_map()
-
 
 class MethodEntry:
     """One method in the global registry.

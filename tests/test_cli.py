@@ -309,6 +309,19 @@ class TestDsuLint:
         ]
         assert not plans["refusals"]
 
+    def test_explain_follows_the_paper_fidelity_flag(self, doomed_files,
+                                                     capsys):
+        # --explain gives the in-loop OSR verdict only when the osrmap
+        # pass runs, as plain dsu-lint does.
+        old, new = doomed_files
+        assert main(["dsu-lint", old, new, "--explain", "Loop.spin"]) == 0
+        assert "in-loop OSR:" in capsys.readouterr().out
+        assert main(["dsu-lint", old, new, "--paper-fidelity",
+                     "--explain", "Loop.spin"]) == 0
+        out = capsys.readouterr().out
+        assert "category 1 (restricted)" in out
+        assert "in-loop OSR" not in out
+
     def test_app_pair_mode_finds_the_jetty_abort(self, capsys):
         code = main([
             "dsu-lint", "--app", "jetty",

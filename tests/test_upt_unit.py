@@ -1,18 +1,23 @@
-"""Unit tests for the Update Preparation Tool: diff classification, stub
-generation and default-transformer generation."""
+"""Unit tests for the Update Preparation Tool: diff classification, the
+old-class stubs, default-transformer generation and the transformer
+compile."""
 
 import pytest
 
+from repro.analysis.transformers import build_transform_table
+from repro.bytecode.classfile import FieldInfo
 from repro.compiler.compile import compile_source
+from repro.dsu import upt
 from repro.dsu.upt import (
     diff_programs,
     flattened_instance_fields,
     generate_default_transformers,
-    generate_new_program_stubs,
-    generate_old_stubs,
+    old_class_stub,
     prepare_update,
     version_prefix,
 )
+from repro.lang.errors import TypeError_
+from tests.dsu_helpers import UpdateFixture
 
 V1 = """
 class User {
@@ -117,22 +122,66 @@ class TestVersionPrefix:
         assert version_prefix("2.0-rc1") == "v20rc1_"
 
 
+GONE_V1 = """
+class Gone { static int total; }
+class Keep { Gone g; Gone[] gs; int k; }
+class Sub extends Keep { int s; }
+class Main { static void main() { while (true) { Sys.sleep(10); } } }
+"""
+
+GONE_V2 = """
+class Keep { int k; int k2; }
+class Sub extends Keep { int s; }
+class Main { static void main() { while (true) { Sys.sleep(10); } } }
+"""
+
+
 class TestStubGeneration:
     def test_old_stub_has_fields_only(self, spec):
         old = compile_source(V1, version="1.0")
-        stubs = generate_old_stubs(old, spec)
-        assert "class v10_User" in stubs
-        assert "string name;" in stubs
-        assert "int age;" in stubs
-        assert "static int count;" in stubs
-        assert "describe" not in stubs  # methods removed (paper §2.3)
+        stub = old_class_stub(old["User"], spec)
+        assert stub.name == "v10_User"
+        assert stub.superclass == "Object"
+        assert stub.fields == old["User"].fields  # name, age, count
+        assert [f.name for f in stub.fields] == ["name", "age", "count"]
+        assert stub.fields[2].is_static
+        assert not stub.methods  # methods removed (paper §2.3)
+        assert stub.source_version == "1.0"
 
-    def test_new_program_stubs_compile(self):
-        new = compile_source(V2, version="2.0")
-        stubs = generate_new_program_stubs(new)
-        compiled = compile_source(stubs, access_checks=False,
-                                  allow_final_writes=True)
-        assert set(compiled) == {"User", "Util", "Audit", "Main"}
+    def test_transformers_compile_against_new_class_files(self):
+        # The compile context is the new program's class files: methods,
+        # constructors (with their super chains) and statics all resolve
+        # from descriptors, with no source of the new program involved.
+        v1 = ("class Base { int b; Base(int x) { this.b = x; } } "
+              "class Item extends Base { Item() { super(1); } } "
+              "class Main { static void main() { } }")
+        v2 = ("class Base { int b; Base(int x) { this.b = x; } "
+              "int twice() { return b + b; } } "
+              "class Item extends Base { int extra; Item() { super(1); } "
+              "static Item make(int n) { return new Item(); } } "
+              "class Main { static void main() { } }")
+        old = compile_source(v1, version="1.0")
+        new = compile_source(v2, version="2.0")
+        override = """
+    static void jvolveClass(Item unused) { }
+    static void jvolveObject(Item to, v10_Item from) {
+        Base fresh = new Base(from.b);
+        to.extra = fresh.twice() + Item.make(0).b;
+    }
+"""
+        prepared = prepare_update(old, new, "1.0", "2.0",
+                                  transformer_overrides={"Item": override})
+        assert set(prepared.transformer_classfiles) == {"JvolveTransformers"}
+        transformers = prepared.transformer_classfiles["JvolveTransformers"]
+        calls = {
+            (i.op, i.a, i.b) for i in
+            transformers.get_method("jvolveObject",
+                                    "(LItem;,Lv10_Item;)V").instructions
+            if i.op.startswith("INVOKE")
+        }
+        assert ("INVOKESPECIAL", "Base", ("<init>", "(I)V")) in calls
+        assert ("INVOKEVIRTUAL", "Base", ("twice", "()I")) in calls
+        assert ("INVOKESTATIC", "Item", ("make", "(I)LItem;")) in calls
 
     def test_old_stub_field_types_point_at_new_classes(self):
         # A field whose type is an updated class keeps the NEW name: by
@@ -145,24 +194,84 @@ class TestStubGeneration:
         old = compile_source(v1, version="1.0")
         new = compile_source(v2, version="2.0")
         spec = diff_programs(old, new, "1.0", "2.0")
-        stubs = generate_old_stubs(old, spec)
-        assert "B partner;" in stubs  # not v10_B
-        assert "class v10_B" in stubs
+        stub = old_class_stub(old["A"], spec)
+        assert [(f.name, f.descriptor) for f in stub.fields] == [
+            ("partner", "LB;")  # not Lv10_B;
+        ]
+        assert old_class_stub(old["B"], spec).name == "v10_B"
 
     def test_deleted_class_stub_generated_with_object_typed_fields(self):
-        v1 = ("class Gone { static int total; } "
-              "class Keep { Gone g; int k; } "
-              "class Main { static void main() { } }")
-        v2 = ("class Keep { int k; int k2; } "
-              "class Main { static void main() { } }")
-        old = compile_source(v1, version="1.0")
-        new = compile_source(v2, version="2.0")
+        old = compile_source(GONE_V1, version="1.0")
+        new = compile_source(GONE_V2, version="2.0")
         spec = diff_programs(old, new, "1.0", "2.0")
         assert spec.deleted_classes == {"Gone"}
-        stubs = generate_old_stubs(old, spec)
-        assert "class v10_Gone" in stubs
-        assert "static int total;" in stubs
-        assert "Object g;" in stubs  # deleted type exposed as Object
+        gone = old_class_stub(old["Gone"], spec)
+        assert gone.name == "v10_Gone"
+        assert gone.fields == [FieldInfo("total", "I", True, False, "public")]
+        keep = old_class_stub(old["Keep"], spec)
+        # deleted type exposed as Object, arrays of it too
+        assert [(f.name, f.descriptor) for f in keep.fields] == [
+            ("g", "LObject;"), ("gs", "[LObject;"), ("k", "I"),
+        ]
+
+    def test_stub_superclass_follows_the_renamed_old_class(self):
+        old = compile_source(GONE_V1, version="1.0")
+        new = compile_source(GONE_V2, version="2.0")
+        spec = diff_programs(old, new, "1.0", "2.0")
+        assert {"Keep", "Sub"} <= spec.class_updates
+        assert old_class_stub(old["Sub"], spec).superclass == "v10_Keep"
+        assert old_class_stub(old["Keep"], spec).superclass == "Object"
+
+
+class TestOneTransformTable:
+    """The compiler, dsu-lint and the installer see the same stubs."""
+
+    def test_compiler_lint_and_installer_stubs_are_equal(self, monkeypatch):
+        seen = {}
+        compile_real = upt.compile_transformers
+
+        def recording(source, filename, context):
+            seen.update(context)
+            return compile_real(source, filename, context)
+
+        monkeypatch.setattr(upt, "compile_transformers", recording)
+        fixture = UpdateFixture(GONE_V1).start()
+        holder = fixture.update_at(50, GONE_V2)
+        fixture.run(until_ms=200)
+        assert holder["result"].succeeded
+        old, new = fixture.classfiles["1.0"], fixture.classfiles["2.0"]
+        table = build_transform_table(
+            old, prepare_update(old, new, "1.0", "2.0")
+        )
+        names = {"v10_Gone", "v10_Keep", "v10_Sub"}
+        for name in names:
+            assert fixture.vm.classfiles[name] == table[name] == seen[name]
+        keep = fixture.vm.classfiles["v10_Keep"]
+        assert ("g", "LObject;") in [(f.name, f.descriptor) for f in keep.fields]
+        assert names | set(new) == set(seen)
+
+    def test_override_type_error_points_into_the_transformer_source(self):
+        old = compile_source(V1, version="1.0")
+        new = compile_source(V2, version="2.0")
+        override = """
+    static void jvolveClass(User unused) { }
+    static void jvolveObject(User to, v10_User from) {
+        to.name = from.name;
+        to.years = from.nosuch;
+    }
+"""
+        spec = diff_programs(old, new, "1.0", "2.0")
+        source = generate_default_transformers(
+            old, new, spec, overrides={"User": override}
+        )
+        with pytest.raises(TypeError_) as excinfo:
+            prepare_update(old, new, "1.0", "2.0",
+                           transformer_overrides={"User": override})
+        location = excinfo.value.location
+        assert location.filename == "<transformers 2.0>"
+        lines = source.splitlines()
+        assert 1 <= location.line <= len(lines)
+        assert "from.nosuch" in lines[location.line - 1]
 
 
 class TestDefaultTransformers:
