@@ -372,7 +372,6 @@ class UpdateEngine:
         #: the applied result whose ``hold_transaction`` window is open
         self._held: Optional[UpdateResult] = None
         self._transform_in_progress: Set[int] = set()
-        self._old_copy_of: Dict[int, int] = {}
         #: per new class of the update being transformed: its
         #: ``jvolveObject`` entry, the compiled code the copy plan was read
         #: from, and the plan (``None``: interpret the body)
@@ -541,9 +540,7 @@ class UpdateEngine:
         if result.transaction is None:
             raise ValueError("no held transaction on this result")
         result.transaction = None
-        if result.lazy_epoch is not None:
-            result.lazy_epoch.release_log()
-            result.lazy_epoch = None
+        result.lazy_epoch = None
         self._held = None
         self.vm.gc_disabled = False
         self.vm.metrics.inc("dsu.held_txn_committed")
@@ -851,7 +848,7 @@ class UpdateEngine:
         if mode == MODE_LAZY:
             epoch = self._lazy_epoch = LazyEpoch(
                 vm, active.prepared, dict(active.update_map),
-                list(active.renamed), track_log=hold,
+                list(active.renamed),
                 run_transformer=self._run_object_transformer,
                 retire=self._retire_old_version,
             )
@@ -891,7 +888,6 @@ class UpdateEngine:
             for frame in thread.frames:
                 frame.return_barrier = False
         self._transform_in_progress.clear()
-        self._old_copy_of.clear()
         self._close_round_span(active, outcome="aborted")
         self._finish(active, ABORTED, failed_phase=phase,
                      reason=reason_code, rolled_back=rolled_back)
@@ -990,9 +986,6 @@ class UpdateEngine:
             with tracer.span("dsu.transform.log-replay", "dsu",
                              log_entries=len(stats.update_log)):
                 self._transform_in_progress.clear()
-                self._old_copy_of = {
-                    new: old for old, new in stats.update_log
-                }
                 for old_address, new_address in stats.update_log:
                     self._transform_object(active, old_address, new_address)
             span.args["objects"] = stats.objects_updated
@@ -1000,16 +993,13 @@ class UpdateEngine:
             vm.force_transform_hook = None
 
     def _cleanup(self, active: _ActiveUpdate, span) -> None:
-        """Clear cached old-version pointers, retire old statics, and
-        retire the transformer class."""
+        """Drop the update log, retire old statics, and retire the
+        transformer class. The cached old-version pointers are already
+        gone: transforming each object zeroed its status word."""
         vm = self.vm
-        update_log = active.gc_stats.update_log
-        for _, new_address in update_log:
-            vm.objects.set_status(new_address, 0)
         # "Once it processes all pairs, the log is deleted, making the
         # duplicate old versions unreachable" (§3.4).
-        update_log.clear()
-        self._old_copy_of.clear()
+        active.gc_stats.update_log.clear()
         self._retire_old_version(active.prepared, active.renamed)
         if self.eager_old_copy_reclaim:
             # The duplicates lived in a segregated region: give it back
@@ -1094,7 +1084,6 @@ class UpdateEngine:
                     preflight.suggested_heap_cells,
                 )
             self._grow_heap_for_update(active, preflight)
-        active.txn.note_gc_started()
         active.gc_stats = vm.collect(
             update_map=active.update_map,
             separate_old_copies=self.eager_old_copy_reclaim,
@@ -1120,8 +1109,7 @@ class UpdateEngine:
         try:
             if heap.current_space != 0:
                 # The evacuation writes forwarding words into the snapshot's
-                # from-space; mark the transaction so rollback scrubs them.
-                active.txn.note_gc_started()
+                # from-space; rollback zeroes them with the rest.
                 vm.collect()
                 # The evacuation established exact per-class live counts;
                 # re-estimate for a tighter growth target. Keep the new
@@ -1230,8 +1218,10 @@ class UpdateEngine:
         active = self.active
         if active is None or address == 0:
             return
-        old_address = self._old_copy_of.get(address)
-        if old_address is not None:  # else: not an updated object
+        # The update collection cached the old copy's address in the new
+        # object's status word (§3.4); 0 means not updated, or done.
+        old_address = self.vm.objects.status(address)
+        if old_address != 0:
             self._transform_object(active, old_address, address)
 
 

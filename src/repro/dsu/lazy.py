@@ -3,15 +3,15 @@
 A lazy apply (:data:`repro.dsu.engine.MODE_LAZY`) installs the new class
 metadata at the pause but runs **no** update collection. The engine only
 opens a :class:`LazyEpoch`, asks it to drain, and — for a held verification
-window — asks it to release its log or roll back; every forwarding-word
-and sweep-cursor decision lives here.
+window — asks it to roll back; every forwarding-word and sweep-cursor
+decision lives here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from ..vm.heap import HEADER_STATUS, HEADER_TIB, NULL, OutOfMemoryError
 from ..vm.objectmodel import VMTrap
@@ -37,10 +37,11 @@ class LazyEpoch:
 
     Heap cells are never healed during the epoch (only operand-stack
     slots are): the old objects keep their exact pre-update field image,
-    which is what makes a mid-epoch :meth:`rollback` exact — it only has
-    to zero the forwarding words recorded in ``transformed_log``; the
-    transaction then truncates the heap to the snapshot bump. The next
-    ordinary collection collapses all epoch forwarding (the GC's
+    and their status words are the only cells the epoch writes below the
+    snapshot bump. That is what makes a mid-epoch rollback exact with no
+    log: :meth:`rollback` only disarms, and the transaction zeroes every
+    status word below its snapshot bump and truncates the heap there. The
+    next ordinary collection collapses all epoch forwarding (the GC's
     ``forward`` chases same-space pointers) whether or not the epoch has
     drained.
     """
@@ -52,9 +53,6 @@ class LazyEpoch:
     new_class_by_old_id: Dict[int, RVMClass]
     #: the renamed old classes, handed to ``retire`` when the epoch closes
     renamed: List[RVMClass]
-    #: record (old, new) pairs so a held-window rollback can zero exactly
-    #: the forwarding words this epoch wrote; off once committed
-    track_log: bool
     #: the engine's one ``jvolveObject`` runner:
     #: ``run_transformer(prefix, new_class, new_address, old_address)``
     run_transformer: Callable[[str, RVMClass, int, int], None]
@@ -76,7 +74,6 @@ class LazyEpoch:
     #: True while the barrier and the idle hook are installed
     armed: bool = False
     closed: bool = False
-    transformed_log: List[Tuple[int, int]] = field(default_factory=list)
     #: old addresses whose transformer is currently on the stack — the
     #: barrier lets their reads through untransformed (a transformer
     #: reading its own old object must not recurse)
@@ -153,8 +150,6 @@ class LazyEpoch:
                 self.prepared.prefix, new_class, new_address, old_address
             )
             vm.objects.set_status(old_address, new_address)
-            if self.track_log:
-                self.transformed_log.append((old_address, new_address))
             self.transformed += 1
         finally:
             self._in_progress.discard(old_address)
@@ -203,7 +198,7 @@ class LazyEpoch:
             # A transformer reading its own old object: let the raw read
             # through (the eager path's cycle-tolerant barrier semantics).
             return
-        room = self._make_room(new_class.instance_cells)
+        room = self._make_room(new_class.fixed_cells)
         if room == "pinned":
             raise VMTrap(
                 "out of memory: lazy transform inside a held update "
@@ -220,7 +215,7 @@ class LazyEpoch:
             )
             if new_class is None:
                 return
-            if self._make_room(new_class.instance_cells, False) != "room":
+            if self._make_room(new_class.fixed_cells, False) != "room":
                 raise VMTrap(
                     "out of memory: heap cannot hold the transformed copy"
                 )
@@ -288,7 +283,7 @@ class LazyEpoch:
                 )
             if new_class is not None:
                 room = self._make_room(
-                    new_class.instance_cells, may_collect=not just_collected
+                    new_class.fixed_cells, may_collect=not just_collected
                 )
                 if room == "pinned":
                     # Held window pins GC: park the sweep; it resumes
@@ -330,8 +325,6 @@ class LazyEpoch:
         self._disarm()
         self.retire(self.prepared, self.renamed)
         self.closed = True
-        if not self.track_log:
-            self.transformed_log.clear()
         vm.tracer.instant(
             "dsu.lazy.epoch-drained", "dsu",
             transformed=self.transformed,
@@ -346,25 +339,13 @@ class LazyEpoch:
     # ------------------------------------------------------------------
     # held verification windows
 
-    def release_log(self) -> None:
-        """The held window committed: the epoch outlives it, but its
-        rollback log is no longer needed — forwarding words persist until
-        the next collection collapses them."""
-        self.track_log = False
-        self.transformed_log.clear()
-
     def rollback(self) -> None:
-        """The held window is rolling back: zero exactly the forwarding
-        words this epoch wrote and take the barrier down. The barrier
-        never wrote into old objects' data cells (only their status
-        headers and operand-stack slots), so once the transaction
-        truncates the heap to the snapshot bump pointer — discarding every
-        new-layout object the epoch allocated — the pre-update heap image
-        is restored bit for bit."""
-        vm = self.vm
-        for old_address, _new_address in self.transformed_log:
-            vm.objects.set_status(old_address, 0)
-        self.transformed_log.clear()
+        """The held window is rolling back: take the barrier down. The
+        barrier never wrote into old objects' data cells (only their
+        status headers and operand-stack slots), so once the transaction
+        zeroes every status word below its snapshot bump and truncates the
+        heap there — discarding every new-layout object the epoch
+        allocated — the pre-update heap image is restored bit for bit."""
         if self.armed:
             self._disarm()
-        vm.metrics.inc("dsu.lazy.epochs_discarded")
+        self.vm.metrics.inc("dsu.lazy.epochs_discarded")

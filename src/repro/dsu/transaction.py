@@ -9,7 +9,7 @@ invalidated, JTOC slots are allocated, frames are OSR-replaced, and the
 update collection rewrites every root.
 
 :class:`UpdateTransaction` captures all of that *before* the first mutation
-and can restore it exactly. Two properties make the restore cheap:
+and can restore it exactly. Three properties make the restore cheap:
 
 1. **Metadata is small.** Class records, method entries, TIB tables, frame
    registers and the JTOC are Python-level structures; shallow copies of
@@ -25,6 +25,13 @@ and can restore it exactly. Two properties make the restore cheap:
    Everything the transformers did happened in to-space and simply becomes
    unreachable scribble.
 
+3. **Status words are 0 outside a window.** Only the update collection
+   and a lazy epoch write a non-zero status word, and neither writes an
+   old object's data cells. So every full-scope rollback zeroes every
+   status word below the snapshot bump: it needs no flag saying whether
+   a collection started, and a held lazy epoch needs no log of the
+   shells it forwarded.
+
 Known limitation (documented in docs/INTERNALS.md): user code executed
 *during* the update window — ``<clinit>`` of freshly installed classes and
 transformer bodies — can in principle write fields of pre-existing heap
@@ -37,7 +44,7 @@ the job of touching old state, so this matches Jvolve's own guarantees.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..vm.heap import HEADER_STATUS
 from ..vm.rvmclass import RVMClass
@@ -145,9 +152,6 @@ class UpdateTransaction:
         self.vm = vm
         self.scope = scope
         self.rolled_back = False
-        #: set (via :meth:`note_gc_started`) once the update collection has
-        #: begun writing forwarding pointers; rollback must then scrub them
-        self.gc_started = False
 
         # --- class/method metadata -----------------------------------
         self.classfiles = dict(vm.classfiles)
@@ -199,9 +203,6 @@ class UpdateTransaction:
 
     # ------------------------------------------------------------------
 
-    def note_gc_started(self) -> None:
-        self.gc_started = True
-
     def rollback(self) -> None:
         """Restore the snapshot. Idempotent; safe in any phase."""
         if self.rolled_back:
@@ -246,9 +247,9 @@ class UpdateTransaction:
         # Growth only appends cells, and the grow path pins the relocated
         # high space above everything the snapshot still points into, so
         # whatever the update GC copied there is discardable scribble.
-        # Then un-flip to the pre-update space and scrub the forwarding
-        # pointers the (possibly partial) update collection left in the
-        # status headers of from-space objects.
+        # Then un-flip to the pre-update space and zero the status words
+        # the (possibly partial) update collection or a held lazy epoch
+        # left in the objects the snapshot still owns.
         heap = vm.heap
         if len(heap.cells) > self.heap_cells_len:
             del heap.cells[self.heap_cells_len:]
@@ -259,32 +260,22 @@ class UpdateTransaction:
         heap.current_space = self.heap_space
         heap.bump = self.heap_bump
         heap.ceiling = self.heap_ceiling
-        if self.gc_started:
-            self._scrub_forwarding_words()
+        self._zero_status_words()
         self.rolled_back = True
 
     # ------------------------------------------------------------------
 
-    def _scrub_forwarding_words(self) -> None:
-        """Walk the (restored) current space linearly and zero the status
-        headers the aborted update collection wrote. Object data cells were
-        never written by the collection, so class ids and array lengths
-        still parse; only the status words hold forwarding-pointer scribble.
-
-        A drained-or-draining *lazy* epoch (repro.dsu.lazy) also stores
-        forwarding in status headers — but those point into the **current**
-        space (object transformed in place, new copy beside the old one),
-        whereas the collection's pointers lead into the other semispace.
-        Lazy forwarding is live state the heap still depends on (heap cells
-        are never healed during an epoch), so only cross-space words are
-        scrubbed."""
+    def _zero_status_words(self) -> None:
+        """Walk the restored current space up to the snapshot bump and
+        zero every status word. Outside an update window or an open epoch
+        each of them is 0, and only the update collection (cross-space
+        forwarding) and a lazy epoch (same-space forwarding) write one;
+        neither writes an old object's data cells, so class ids and array
+        lengths still parse."""
         vm = self.vm
-        heap = vm.heap
-        address = heap.space_start
-        end = self.heap_bump
-        current = heap.current_space
-        while address < end:
-            status = heap.cells[address + HEADER_STATUS]
-            if status != 0 and not heap.in_space(status, current):
-                heap.cells[address + HEADER_STATUS] = 0
-            address += vm.objects.object_size_cells(address)
+        cells = vm.heap.cells
+        size_of = vm.objects.object_size_cells
+        address = vm.heap.space_start
+        while address < self.heap_bump:
+            cells[address + HEADER_STATUS] = 0
+            address += size_of(address)

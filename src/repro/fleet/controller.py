@@ -166,6 +166,22 @@ class RolloutReport:
     def fault_names(self) -> List[str]:
         return [entry["fault"] for entry in self.faults]
 
+    def record_fault(self, row: MemberRollout, fault: str,
+                     detail: str) -> None:
+        """Log ``fault`` on the member's row and in the fleet fault log."""
+        row.faults.append(fault)
+        self.faults.append(
+            {"member": row.member, "fault": fault, "detail": detail}
+        )
+
+    def halt(self, reason: str, rollback_kind: str = "") -> None:
+        """Stop the rollout: ``"rolled-back"`` when the canary came back
+        (``rollback_kind`` says how), else ``"halted"``."""
+        self.status = "rolled-back" if rollback_kind else "halted"
+        self.rollback_kind = rollback_kind
+        self.halted = True
+        self.halt_reason = reason
+
     def to_dict(self) -> dict:
         return {
             "app": self.app,
@@ -425,15 +441,11 @@ class FleetController:
         if row.drain_overrun:
             for record in leftovers:
                 record.drain_casualty = True
-            row.faults.append(FAULT_DRAIN_OVERRUN)
-            report.faults.append({
-                "member": member.name,
-                "fault": FAULT_DRAIN_OVERRUN,
-                "detail": (
-                    f"{len(leftovers)} session(s) still in flight after "
-                    f"{policy.drain_deadline_ms}ms drain window"
-                ),
-            })
+            report.record_fault(
+                row, FAULT_DRAIN_OVERRUN,
+                f"{len(leftovers)} session(s) still in flight after "
+                f"{policy.drain_deadline_ms}ms drain window",
+            )
             self.metrics.inc("fleet.drain_overruns")
 
     def _update(self, member: FleetMember, row: MemberRollout,
@@ -484,26 +496,17 @@ class FleetController:
         self._harvest()  # account the sessions the crash stranded
         self.balancer.admit(member.name)
         row.outcome = "crash-recovered"
-        row.faults.append(FAULT_MEMBER_CRASH)
-        report.faults.append({
-            "member": member.name,
-            "fault": FAULT_MEMBER_CRASH,
-            "detail": detail,
-        })
+        report.record_fault(row, FAULT_MEMBER_CRASH, detail)
         self.metrics.inc("fleet.member_crashes")
         if is_canary:
-            report.status = "rolled-back"
-            report.rollback_kind = "restart"
-            report.halted = True
-            report.halt_reason = (
+            report.halt(
                 f"canary {member.name} crashed mid-update; restarted on "
-                f"{old_version}, rollout halted"
+                f"{old_version}, rollout halted",
+                rollback_kind="restart",
             )
             self.metrics.inc("fleet.rollbacks")
         elif failures > policy.failure_budget:
-            report.status = "halted"
-            report.halted = True
-            report.halt_reason = (
+            report.halt(
                 f"failure budget exceeded ({failures} > "
                 f"{policy.failure_budget}) after {member.name} crashed"
             )
@@ -522,27 +525,19 @@ class FleetController:
         row.outcome = "retry-exhausted"
         if result is not None and result.status != PENDING:
             row.abort_why = f"{result.failed_phase}/{result.reason_code}"
-        row.faults.append(FAULT_RETRY_EXHAUSTION)
-        report.faults.append({
-            "member": member.name,
-            "fault": FAULT_RETRY_EXHAUSTION,
-            "detail": (
-                f"{row.attempts} attempt(s) exhausted; last abort: "
-                f"{row.abort_why or 'unresolved'}"
-            ),
-        })
+        report.record_fault(
+            row, FAULT_RETRY_EXHAUSTION,
+            f"{row.attempts} attempt(s) exhausted; last abort: "
+            f"{row.abort_why or 'unresolved'}",
+        )
         self.metrics.inc("fleet.updates_aborted")
         if is_canary:
-            report.status = "halted"
-            report.halted = True
-            report.halt_reason = (
+            report.halt(
                 f"canary {member.name} update aborted: "
                 f"{row.abort_why or 'unresolved'}"
             )
         elif failures > policy.failure_budget:
-            report.status = "halted"
-            report.halted = True
-            report.halt_reason = (
+            report.halt(
                 f"failure budget exceeded ({failures} > "
                 f"{policy.failure_budget}) after {member.name} aborted"
             )
@@ -583,12 +578,8 @@ class FleetController:
                 )
                 if not override and not flap_reported:
                     flap_reported = True
-                    row.faults.append(FAULT_HEALTH_FLAP)
-                    report.faults.append({
-                        "member": member.name,
-                        "fault": FAULT_HEALTH_FLAP,
-                        "detail": "health probe forced unhealthy",
-                    })
+                    report.record_fault(row, FAULT_HEALTH_FLAP,
+                                        "health probe forced unhealthy")
             row.probes.append(verdict.to_dict())
             if verdict.status == UNHEALTHY:
                 streak += 1
@@ -629,11 +620,9 @@ class FleetController:
             last_unhealthy.reason if last_unhealthy is not None
             else "health verification failed"
         )
-        report.status = "rolled-back"
-        report.rollback_kind = "snapshot"
-        report.halted = True
-        report.halt_reason = (
-            f"canary {member.name} failed health verification: {detail}"
+        report.halt(
+            f"canary {member.name} failed health verification: {detail}",
+            rollback_kind="snapshot",
         )
         report.faults.append({
             "member": member.name,

@@ -223,13 +223,12 @@ def heap_fingerprint(vm: VM) -> List[tuple]:
         address = queue.popleft()
         rvmclass = objects.class_of(address)
         if rvmclass.kind == RVMClass.KIND_ARRAY:
-            descriptor = rvmclass.element_descriptor or ""
-            elem_is_ref = descriptor.startswith(("L", "[")) or descriptor == "S"
             rows.append((
                 "array", rvmclass.name,
                 tuple(
                     visit(objects.array_get(address, index))
-                    if elem_is_ref else objects.array_get(address, index)
+                    if rvmclass.elements_are_refs
+                    else objects.array_get(address, index)
                     for index in range(objects.array_length(address))
                 ),
             ))

@@ -16,7 +16,16 @@ id -> new ``RVMClass``). For each object whose class changed it:
    ("we instead cache a pointer to the old version in the new version
    during the collection"),
 5. appends ``(old_copy, new_object)`` to the update log that the DSU engine
-   replays through the object transformers after the collection.
+   replays through the object transformers after the collection. The
+   engine finds an object's old copy for ``Sys.forceTransform`` in that
+   cached status word, and zeroes it once the object is transformed.
+
+Outside an update window or an open lazy epoch every status word in the
+current space is 0: only this collection (cross-space forwarding and the
+old-copy cache) and a lazy epoch (same-space forwarding) write a non-zero
+one, and an aborted update's rollback zeroes what either left behind.
+Sizes and reference cells come from the class's one shape record
+(``RVMClass.fixed_cells``, ``ref_offsets``, ``elements_are_refs``).
 """
 
 from __future__ import annotations
@@ -24,12 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .heap import HEADER_CELLS, HEADER_STATUS, HEADER_TIB, NULL
-from .objectmodel import (
-    ARRAY_ELEMS_OFFSET,
-    ARRAY_LENGTH_OFFSET,
-    ObjectModel,
-)
+from .heap import HEADER_STATUS, HEADER_TIB, NULL
+from .objectmodel import ARRAY_ELEMS_OFFSET, ARRAY_LENGTH_OFFSET
 from .rvmclass import RVMClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,8 +123,6 @@ class SemiSpaceCollector:
         would, so abort/rollback paths can be exercised deterministically.
         """
         vm = self.vm
-        heap = vm.heap
-        objects = vm.objects
         stats = GCStats()
         start_cycles = vm.clock.cycles
         update_map = update_map or {}
@@ -145,7 +148,6 @@ class SemiSpaceCollector:
     ) -> GCStats:
         vm = self.vm
         heap = vm.heap
-        objects = vm.objects
 
         from_space = heap.current_space
         scan = bump = heap.begin_flip()
@@ -225,7 +227,9 @@ class SemiSpaceCollector:
                     "object copies"
                 )
             rvmclass = vm.registry.by_class_id(heap.cells[address + HEADER_TIB])
-            size = _object_size(objects, rvmclass, address)
+            size = rvmclass.fixed_cells
+            if size is None:
+                size = ARRAY_ELEMS_OFFSET + heap.cells[address + ARRAY_LENGTH_OFFSET]
             new_class = update_map.get(rvmclass.id)
             if new_class is None:
                 destination = copy_cells(address, size)
@@ -240,7 +244,7 @@ class SemiSpaceCollector:
             # --- updated class: double copy + update log -------------
             old_copy = copy_old_version(address, size)
             heap.cells[old_copy + HEADER_STATUS] = 0
-            new_object = alloc_cells(new_class.instance_cells)
+            new_object = alloc_cells(new_class.fixed_cells)
             heap.cells[new_object + HEADER_TIB] = new_class.id
             # cache the old version's address in the new header (§3.4)
             heap.cells[new_object + HEADER_STATUS] = old_copy
@@ -262,24 +266,19 @@ class SemiSpaceCollector:
 
         # --- Cheney scan --------------------------------------------------
         def scan_object(address: int) -> int:
-            rvmclass = vm.registry.by_class_id(heap.cells[address + HEADER_TIB])
-            if rvmclass.kind == RVMClass.KIND_ARRAY:
-                length = heap.cells[address + ARRAY_LENGTH_OFFSET]
-                size = ARRAY_ELEMS_OFFSET + length
-                if _element_is_ref(rvmclass):
-                    for index in range(length):
-                        cell = address + ARRAY_ELEMS_OFFSET + index
-                        heap.cells[cell] = forward(heap.cells[cell])
-            elif rvmclass.kind == RVMClass.KIND_STRING:
-                size = HEADER_CELLS + 1
+            cells = heap.cells
+            rvmclass = vm.registry.by_class_id(cells[address + HEADER_TIB])
+            size = rvmclass.fixed_cells
+            if size is None:
+                size = ARRAY_ELEMS_OFFSET + cells[address + ARRAY_LENGTH_OFFSET]
+                if rvmclass.elements_are_refs:
+                    for cell in range(address + ARRAY_ELEMS_OFFSET, address + size):
+                        cells[cell] = forward(cells[cell])
             else:
-                size = rvmclass.instance_cells
                 # New objects created for updated classes have empty fields
                 # (all zero); scanning them is harmless and uniform.
-                for slot, is_ref in enumerate(rvmclass.ref_map):
-                    if is_ref:
-                        cell = address + HEADER_CELLS + slot
-                        heap.cells[cell] = forward(heap.cells[cell])
+                for offset in rvmclass.ref_offsets:
+                    cells[address + offset] = forward(cells[address + offset])
             return size
 
         # The segregated old copies are greylist members too (their fields
@@ -342,8 +341,8 @@ class SemiSpaceCollector:
         for old_id, new_class in update_map.items():
             count = heap.live_instances_upper_bound(old_id)
             estimate.updated_instances_upper += count
-            estimate.update_extra_cells += count * new_class.instance_cells
-            largest_new = max(largest_new, new_class.instance_cells)
+            estimate.update_extra_cells += count * new_class.fixed_cells
+            largest_new = max(largest_new, new_class.fixed_cells)
         # One extra new-layout object of slack: the segregated old-copy
         # region keeps a one-object gap between the two bump pointers.
         estimate.needed_cells = (
@@ -403,15 +402,3 @@ class SemiSpaceCollector:
                 frame.stack[index] = forward(frame.stack[index])
                 stats.roots_scanned += 1
 
-
-def _object_size(objects: ObjectModel, rvmclass: RVMClass, address: int) -> int:
-    if rvmclass.kind == RVMClass.KIND_ARRAY:
-        return ARRAY_ELEMS_OFFSET + objects.heap.cells[address + ARRAY_LENGTH_OFFSET]
-    if rvmclass.kind == RVMClass.KIND_STRING:
-        return HEADER_CELLS + 1
-    return rvmclass.instance_cells
-
-
-def _element_is_ref(array_class: RVMClass) -> bool:
-    descriptor = array_class.element_descriptor or ""
-    return descriptor[0] in ("L", "S", "[", "N") if descriptor else False

@@ -124,8 +124,7 @@ class Heap:
             )
         address = self.bump
         self.bump += cells
-        for i in range(address, address + cells):
-            self.cells[i] = 0
+        self.cells[address : address + cells] = [0] * cells
         self.allocations += 1
         self.cells_allocated += cells
         return address

@@ -66,7 +66,7 @@ class ObjectModel:
     # allocation (raw: caller handles OutOfMemoryError / GC retry)
 
     def alloc_object(self, rvmclass: RVMClass) -> int:
-        address = self.heap.allocate_raw(rvmclass.instance_cells)
+        address = self.heap.allocate_raw(rvmclass.fixed_cells)
         self.heap.write(address + HEADER_TIB, rvmclass.id)
         self.heap.note_class_allocation(rvmclass.id)
         return address
@@ -82,19 +82,17 @@ class ObjectModel:
 
     def alloc_string(self, payload_index: int) -> int:
         string_class = self.string_class()
-        address = self.heap.allocate_raw(HEADER_CELLS + 1)
+        address = self.heap.allocate_raw(string_class.fixed_cells)
         self.heap.write(address + HEADER_TIB, string_class.id)
         self.heap.write(address + STRING_PAYLOAD_OFFSET, payload_index)
         self.heap.note_class_allocation(string_class.id)
         return address
 
     def object_size_cells(self, address: int) -> int:
-        rvmclass = self.class_of(address)
-        if rvmclass.kind == RVMClass.KIND_ARRAY:
+        size = self.class_of(address).fixed_cells
+        if size is None:
             return ARRAY_ELEMS_OFFSET + self.array_length(address)
-        if rvmclass.kind == RVMClass.KIND_STRING:
-            return HEADER_CELLS + 1
-        return rvmclass.instance_cells
+        return size
 
     # ------------------------------------------------------------------
     # headers

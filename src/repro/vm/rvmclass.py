@@ -3,8 +3,11 @@
 An :class:`RVMClass` carries everything the JIT bakes into machine code and
 everything the GC needs to trace instances:
 
-* flattened instance-field layout (slot offsets and a per-slot reference
-  map), superclass fields first;
+* flattened instance-field layout, superclass fields first;
+* the object shape the collector, the object model and the lazy sweep all
+  read: reference cell offsets, fixed cell count (``None`` for arrays,
+  whose size is in their length cell) and whether array elements are
+  references;
 * JTOC indices for static fields;
 * the TIB (:mod:`repro.vm.tib`) mapping virtual-method slots to code.
 
@@ -15,8 +18,8 @@ install a fresh ``RVMClass`` for the new version — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..bytecode.classfile import ClassFile
 from ..lang.types import parse_descriptor
@@ -63,8 +66,19 @@ class RVMClass:
         #: flattened instance fields, superclass first
         self.field_layout: List[FieldSlot] = []
         self.field_offsets: Dict[str, FieldSlot] = {}
-        #: per-slot reference map (index = field slot)
-        self.ref_map: List[bool] = []
+        #: the object shape: cell offsets holding references, cells per
+        #: object (``None`` for arrays) and whether array elements are
+        #: references — the field rule applied to the element descriptor
+        self.ref_offsets: Tuple[int, ...] = ()
+        self.fixed_cells: Optional[int] = HEADER_CELLS  # + fields, at layout
+        self.elements_are_refs = False
+        if kind == self.KIND_ARRAY:
+            self.fixed_cells = None
+            self.elements_are_refs = parse_descriptor(
+                element_descriptor
+            ).is_reference()
+        elif kind == self.KIND_STRING:
+            self.fixed_cells = HEADER_CELLS + 1  # the payload index
         #: static field name -> JTOC index
         self.static_slots: Dict[str, int] = {}
         #: static field name -> is_reference (parallel to static_slots)
@@ -103,12 +117,10 @@ class RVMClass:
             self.field_layout.append(slot)
             next_slot += 1
         self.field_offsets = {s.name: s for s in self.field_layout}
-        self.ref_map = [s.is_ref for s in self.field_layout]
-
-    @property
-    def instance_cells(self) -> int:
-        """Total heap cells per instance (header + fields)."""
-        return HEADER_CELLS + len(self.field_layout)
+        self.ref_offsets = tuple(
+            s.cell_offset for s in self.field_layout if s.is_ref
+        )
+        self.fixed_cells = HEADER_CELLS + len(self.field_layout)
 
     def field_slot(self, name: str) -> FieldSlot:
         return self.field_offsets[name]

@@ -69,3 +69,20 @@ class UpdateFixture:
     @property
     def console(self):
         return self.vm.console
+
+
+def nonzero_status_words(vm):
+    """Addresses in the current space whose status word is not 0. Outside
+    an update window or an open lazy epoch the list must be empty: only
+    the update collection and an epoch write status words, and the update
+    or the epoch zeroes what it wrote."""
+    from repro.vm.heap import HEADER_STATUS
+
+    cells = vm.heap.cells
+    found = []
+    address = vm.heap.space_start
+    while address < vm.heap.bump:
+        if cells[address + HEADER_STATUS] != 0:
+            found.append(address)
+        address += vm.objects.object_size_cells(address)
+    return found

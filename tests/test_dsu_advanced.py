@@ -122,6 +122,25 @@ class TestForcedTransformation:
         fixture.run(until_ms=3_000)
         assert holder["result"].succeeded, holder["result"].reason
 
+    def test_class_transformer_can_force_an_object(self):
+        # Class transformers run after the update collection, so the new
+        # objects already cache their old copies: forcing one from
+        # jvolveClass transforms it (and, through A's transformer, B).
+        fixture = UpdateFixture(FORCE_V1, heap_cells=1 << 16).start()
+        overrides = dict(FORCE_TRANSFORMERS)
+        overrides["A"] = FORCE_TRANSFORMERS["A"].replace(
+            "static void jvolveClass(A unused) { }",
+            """static void jvolveClass(A unused) {
+        Sys.forceTransform(Root.a);
+        Sys.print("class-time " + Root.a.x + "/" + Root.a.sum);
+    }""",
+        )
+        holder = fixture.update_at(55, FORCE_V2, overrides=overrides)
+        fixture.run(until_ms=3_000)
+        assert holder["result"].succeeded, holder["result"].reason
+        assert "class-time 5/19" in fixture.console
+        assert "5/7/19/14" in fixture.console
+
 
 _CYCLE_MAIN = """
 class Main {
