@@ -736,4 +736,17 @@ TRANSFORMER_OVERRIDES = {
     static void jvolveObject(Stats to, v107_Stats from) { }
 """,
     },
+    ("1.08", "1.07"): {
+        # The reverse: TransferLog comes back, so its counter moves back.
+        "Stats": """
+    static void jvolveClass(Stats unused) {
+        Stats.connections = v108_Stats.connections;
+        Stats.commands = v108_Stats.commands;
+        Stats.bytesOut = v108_Stats.bytesOut;
+        Stats.logins = v108_Stats.logins;
+        TransferLog.transfers = v108_Stats.transfers;
+    }
+    static void jvolveObject(Stats to, v108_Stats from) { }
+""",
+    },
 }

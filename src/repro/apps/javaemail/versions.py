@@ -937,6 +937,27 @@ TRANSFORMER_132_USER = """
     }
 """
 
+#: the reverse of Figure 3: join each EmailAddress back into the 1.3.1
+#: "user@domain" string (a deleted class's stub is read through a cast)
+TRANSFORMER_131_USER = """
+    static void jvolveClass(User unused) { }
+    static void jvolveObject(User to, v132_User from) {
+        to.username = from.username;
+        to.password = from.password;
+        if (from.forwardAddresses == null) {
+            to.forwardAddresses = null;
+        } else {
+            int len = from.forwardAddresses.length;
+            to.forwardAddresses = new string[len];
+            for (int i = 0; i < len; i = i + 1) {
+                v132_EmailAddress address =
+                    (v132_EmailAddress) from.forwardAddresses[i];
+                to.forwardAddresses[i] = address.username + "@" + address.domain;
+            }
+        }
+    }
+"""
+
 # ---------------------------------------------------------------------------
 # 1.3.3 — small fixes plus a Debug verbosity knob. Debug is read (GETSTATIC)
 # by every run() loop, so this class update makes the loops category-2
@@ -1194,4 +1215,5 @@ MAIN_CLASS = "JavaEmailServer"
 #: custom transformers per update (defaults suffice elsewhere)
 TRANSFORMER_OVERRIDES = {
     ("1.3.1", "1.3.2"): {"User": TRANSFORMER_132_USER},
+    ("1.3.2", "1.3.1"): {"User": TRANSFORMER_131_USER},
 }

@@ -247,19 +247,6 @@ class UpdateResult:
     lazy_pending_upper: int = 0
     requested_at_ms: float = 0.0
     finished_at_ms: float = 0.0
-    #: retained pre-update snapshot (``UpdatePolicy.hold_transaction``):
-    #: the update applied, but the caller may still
-    #: :meth:`UpdateEngine.rollback_applied` during a verification window.
-    #: ``None`` once committed, rolled back, or when not requested.
-    transaction: Optional[UpdateTransaction] = field(
-        default=None, repr=False, compare=False
-    )
-    #: the lazy epoch retained alongside a held transaction so
-    #: :meth:`UpdateEngine.rollback_applied` can zero its forwarding words
-    #: exactly; ``None`` once committed, rolled back, or for eager applies
-    lazy_epoch: Optional[LazyEpoch] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def total_pause_ms(self) -> float:
@@ -289,8 +276,8 @@ class UpdateRequest:
 
     The *what* is the :class:`~repro.dsu.upt.PreparedUpdate`; the *how* is
     a single typed :class:`~repro.dsu.policy.UpdatePolicy` (retry budget,
-    lint/bypass/in-loop-OSR modes, eager vs lazy transformation, held
-    verification windows, heap growth) — see its presets
+    lint/bypass/in-loop-OSR modes, eager vs lazy transformation, heap
+    growth) — see its presets
     ``UpdatePolicy.paper()`` / ``.fast()`` / ``.safe()``.
     """
 
@@ -369,8 +356,6 @@ class UpdateEngine:
         self.fault_injector = fault_injector
         self.active: Optional[_ActiveUpdate] = None
         self.history: List[UpdateResult] = []
-        #: the applied result whose ``hold_transaction`` window is open
-        self._held: Optional[UpdateResult] = None
         self._transform_in_progress: Set[int] = set()
         #: per new class of the update being transformed: its
         #: ``jvolveObject`` entry, the compiled code the copy plan was read
@@ -391,8 +376,7 @@ class UpdateEngine:
     def lazy_epoch(self) -> Optional[LazyEpoch]:
         """The open lazy-transformation epoch, when the last applied update
         used ``transform="lazy"`` and objects are still pending behind the
-        read barrier; ``None`` once the sweep drains it (or a held-window
-        rollback discards it)."""
+        read barrier; ``None`` once the sweep drains it."""
         epoch = self._lazy_epoch
         return epoch if epoch is not None and epoch.armed else None
 
@@ -416,12 +400,6 @@ class UpdateEngine:
         """
         if self.active is not None:
             raise RuntimeError("an update is already in progress")
-        if self._held is not None:
-            # rollback_applied(held) would silently discard this update.
-            raise RuntimeError(
-                "an update is already in progress: its hold_transaction "
-                "window is open (commit_applied or rollback_applied first)"
-            )
         prepared = request.prepared
         policy = request.policy
         vm = self.vm
@@ -530,51 +508,6 @@ class UpdateEngine:
             "dsu.restricted_set_size", len(sets.hard) + len(sets.recompile)
         )
         self._begin_round(active)
-
-    # ------------------------------------------------------------------
-    # held-transaction verification window (canary updates)
-
-    def commit_applied(self, result: UpdateResult) -> None:
-        """End a ``hold_transaction`` verification window, keeping the
-        new version: discard the retained snapshot and re-enable GC."""
-        if result.transaction is None:
-            raise ValueError("no held transaction on this result")
-        result.transaction = None
-        result.lazy_epoch = None
-        self._held = None
-        self.vm.gc_disabled = False
-        self.vm.metrics.inc("dsu.held_txn_committed")
-
-    def rollback_applied(self, result: UpdateResult) -> None:
-        """Undo a *successfully applied* update from its retained
-        snapshot — the canary regressed during verification.
-
-        The caller must guarantee the world is parked at yield points
-        (the fleet controller calls this between scheduler slices) and
-        that no GC ran since the apply (the engine pinned
-        ``vm.gc_disabled`` for exactly that reason). A lazy epoch rolls
-        back exactly: see :meth:`LazyEpoch.rollback`."""
-        txn = result.transaction
-        if txn is None:
-            raise ValueError("no held transaction on this result")
-        if result.lazy_epoch is not None:
-            result.lazy_epoch.rollback()
-            result.lazy_epoch = None
-        with self.vm.tracer.span(
-            "dsu.canary-rollback", "dsu",
-            old_version=result.old_version,
-            new_version=result.new_version,
-        ):
-            txn.rollback()
-        result.transaction = None
-        self._held = None
-        self.vm.gc_disabled = False
-        self.vm.update_pending = False
-        # Frames now running the rolled-back-from version drain on their
-        # own; the outstanding count from the apply no longer means
-        # anything.
-        self._bypass_stale_outstanding = 0
-        self.vm.metrics.inc("dsu.canary_rollbacks")
 
     def drain_lazy_epoch(self, max_objects: Optional[int] = None) -> int:
         """Synchronously drain the open lazy epoch (fully, or up to
@@ -818,30 +751,15 @@ class UpdateEngine:
             return
         finally:
             vm.gc_disabled = gc_was_disabled
-        self._commit_or_hold(active, mode)
+        self._commit(active, mode)
 
-    def _commit_or_hold(self, active: _ActiveUpdate, mode: str) -> None:
-        """Every phase succeeded: drop the snapshot — or keep it for the
-        caller's verification window — open the lazy epoch, and finish the
-        result as :data:`APPLIED`."""
+    def _commit(self, active: _ActiveUpdate, mode: str) -> None:
+        """Every phase succeeded: drop the snapshot, open the lazy epoch,
+        and finish the result as :data:`APPLIED`."""
         vm = self.vm
         result = active.result
-        txn = active.txn
-        hold = active.policy.hold_transaction
-        if hold:
-            result.transaction = txn
-            self._held = result
-            # A full snapshot pins the GC until commit_applied() /
-            # rollback_applied(): an eager one still references the
-            # pre-update heap image, and a lazy rollback truncates the heap
-            # to the snapshot bump — both are destroyed by a collection
-            # moving objects. A code-only (bypass) snapshot holds no heap
-            # addresses, so ordinary GC keeps running while it is held.
-            if txn.scope == SCOPE_FULL:
-                vm.gc_disabled = True
-            vm.metrics.inc("dsu.held_transactions")
         result.objects_transformed = active.gc_stats.objects_updated
-        if txn.scope == SCOPE_FULL:
+        if active.txn.scope == SCOPE_FULL:
             result.transform_mode = active.policy.transform
             vm.metrics.observe("dsu.objects_transformed",
                                result.objects_transformed)
@@ -854,8 +772,6 @@ class UpdateEngine:
             )
             epoch.open()
             result.lazy_pending_upper = epoch.pending_upper
-            if hold:
-                result.lazy_epoch = epoch
         pause_ms = float(result.total_pause_ms)  # sum() of no phases is int 0
         vm.metrics.observe("dsu.pause_ms", pause_ms)
         self._finish(

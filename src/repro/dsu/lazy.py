@@ -1,10 +1,9 @@
-"""The lazy-transformation epoch: read barrier, idle sweep, close, rollback.
+"""The lazy-transformation epoch: read barrier, idle sweep, close.
 
 A lazy apply (:data:`repro.dsu.engine.MODE_LAZY`) installs the new class
 metadata at the pause but runs **no** update collection. The engine only
-opens a :class:`LazyEpoch`, asks it to drain, and — for a held verification
-window — asks it to roll back; every forwarding-word and sweep-cursor
-decision lives here.
+opens a :class:`LazyEpoch` and asks it to drain; every forwarding-word and
+sweep-cursor decision lives here.
 """
 
 from __future__ import annotations
@@ -36,11 +35,8 @@ class LazyEpoch:
     are never of an old class, so the sweep provably terminates.
 
     Heap cells are never healed during the epoch (only operand-stack
-    slots are): the old objects keep their exact pre-update field image,
-    and their status words are the only cells the epoch writes below the
-    snapshot bump. That is what makes a mid-epoch rollback exact with no
-    log: :meth:`rollback` only disarms, and the transaction zeroes every
-    status word below its snapshot bump and truncates the heap there. The
+    slots are): the old objects keep their pre-update field image, and
+    their status words are the only cells the epoch writes in them. The
     next ordinary collection collapses all epoch forwarding (the GC's
     ``forward`` chases same-space pointers) whether or not the epoch has
     drained.
@@ -80,7 +76,7 @@ class LazyEpoch:
     _in_progress: Set[int] = field(default_factory=set)
 
     # ------------------------------------------------------------------
-    # open / disarm
+    # open
 
     def open(self) -> None:
         """Arm the epoch after a successful lazy apply: every object of a
@@ -106,21 +102,16 @@ class LazyEpoch:
         )
         vm.metrics.inc("dsu.lazy.epochs_opened")
 
-    def _disarm(self) -> None:
-        self.vm.interpreter.disarm_lazy_barrier()
-        self.vm.idle_work_hook = None
-        self.armed = False
-        self._in_progress.clear()
-
     # ------------------------------------------------------------------
     # transforming one object
 
     def _make_room(self, cells: int, may_collect: bool = True) -> str:
-        """Allocate-or-collect-or-park: ``"room"`` when ``cells`` fit,
-        ``"pinned"`` when they do not and a held update window has the GC
-        pinned, ``"collected"`` after running a collection to make room
-        (every address moved — the caller must re-read), ``"full"`` when
-        a collection was not allowed."""
+        """Allocate-or-collect: ``"room"`` when ``cells`` fit, ``"pinned"``
+        when they do not and GC is off (a barrier touch nested inside a
+        running transformer: :meth:`_transform` pins it), ``"collected"``
+        after running a collection to make room (every address moved — the
+        caller must re-read), ``"full"`` when a collection was not
+        allowed."""
         vm = self.vm
         if vm.heap.can_allocate(cells):
             return "room"
@@ -135,8 +126,7 @@ class LazyEpoch:
         """Transform one pending object: allocate the new-layout object,
         run ``jvolveObject(new, old)``, and write a same-space forwarding
         pointer into the old object's status header. The old object's data
-        cells are never written — the exact pre-update field image survives
-        for a held-window rollback. Caller guarantees allocation capacity.
+        cells are never written. Caller guarantees allocation capacity.
         """
         vm = self.vm
         # Pin addresses for the duration: the transformer may allocate, and
@@ -201,8 +191,8 @@ class LazyEpoch:
         room = self._make_room(new_class.fixed_cells)
         if room == "pinned":
             raise VMTrap(
-                "out of memory: lazy transform inside a held update "
-                "window (GC pinned)"
+                "out of memory: lazy transform nested inside a running "
+                "transformer (GC pinned)"
             )
         if room == "collected":
             # The collection healed every root — including this slot — and
@@ -264,13 +254,6 @@ class LazyEpoch:
                 self.sweep_cursor = heap.space_start
             cursor = self.sweep_cursor
             if cursor >= heap.bump:
-                if vm.gc_disabled and self.transformed:
-                    # Drained, but the closing collection (which collapses
-                    # the epoch's forwarding so the barrier can come down)
-                    # needs the GC a held update window has pinned. Park;
-                    # commit/rollback re-enables collection and the next
-                    # sweep slice closes for real.
-                    break
                 self._close()
                 break
             vm.clock.tick(vm.clock.costs.lazy_sweep_object)
@@ -285,14 +268,9 @@ class LazyEpoch:
                 room = self._make_room(
                     new_class.fixed_cells, may_collect=not just_collected
                 )
-                if room == "pinned":
-                    # Held window pins GC: park the sweep; it resumes
-                    # after commit/rollback re-enables collection.
-                    break
-                if room == "full":
+                if room in ("full", "pinned"):
                     raise OutOfMemoryError(
-                        "lazy sweep cannot allocate the transformed "
-                        "copy even after collection"
+                        "lazy sweep cannot allocate the transformed copy"
                     )
                 if room == "collected":
                     just_collected = True
@@ -322,7 +300,10 @@ class LazyEpoch:
         vm = self.vm
         if self.transformed:
             vm.collect()
-        self._disarm()
+        vm.interpreter.disarm_lazy_barrier()
+        vm.idle_work_hook = None
+        self.armed = False
+        self._in_progress.clear()
         self.retire(self.prepared, self.renamed)
         self.closed = True
         vm.tracer.instant(
@@ -335,17 +316,3 @@ class LazyEpoch:
         vm.metrics.inc("dsu.lazy.epochs_closed")
         vm.metrics.observe("dsu.lazy.touch_transforms", self.touch_transforms)
         vm.metrics.observe("dsu.lazy.sweep_transforms", self.sweep_transforms)
-
-    # ------------------------------------------------------------------
-    # held verification windows
-
-    def rollback(self) -> None:
-        """The held window is rolling back: take the barrier down. The
-        barrier never wrote into old objects' data cells (only their
-        status headers and operand-stack slots), so once the transaction
-        zeroes every status word below its snapshot bump and truncates the
-        heap there — discarding every new-layout object the epoch
-        allocated — the pre-update heap image is restored bit for bit."""
-        if self.armed:
-            self._disarm()
-        self.vm.metrics.inc("dsu.lazy.epochs_discarded")

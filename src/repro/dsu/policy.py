@@ -1,8 +1,8 @@
 """The update policy: one typed knob object instead of kwarg sprawl.
 
 Everything that shapes *how* an update is applied — the retry budget,
-the lint/bypass/in-loop-OSR/transform modes, held verification windows,
-heap growth — is one frozen dataclass with presets:
+the lint/bypass/in-loop-OSR/transform modes, heap growth — is one frozen
+dataclass with presets:
 
 ``policy = UpdatePolicy.fast()            # bypass + in-loop OSR + lazy``
 ``policy = UpdatePolicy.paper()           # strict paper fidelity``
@@ -48,12 +48,6 @@ class UpdatePolicy:
         stop-the-world update collection; ``lazy`` installs metadata at
         the pause but transforms objects on first touch behind a read
         barrier, draining the remainder in idle-time sweep slices.
-    ``hold_transaction``
-        Keep the update transaction open after a successful apply so a
-        verifier can still roll back in place (fleet canary windows).
-        Whether GC stays enabled while held depends on the snapshot
-        scope: code-only bypass snapshots and lazy epochs hold no GC-
-        hostile state, full eager snapshots pin collection.
     ``heap_grow``
         Let the update-GC pre-flight grow the heap in place instead of
         aborting when to-space cannot hold the transformed objects.
@@ -65,7 +59,6 @@ class UpdatePolicy:
     bypass: str = "off"
     inloop_osr: str = "off"
     transform: str = "eager"
-    hold_transaction: bool = False
     heap_grow: bool = False
 
     def __post_init__(self) -> None:

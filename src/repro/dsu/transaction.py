@@ -26,11 +26,10 @@ and can restore it exactly. Three properties make the restore cheap:
    unreachable scribble.
 
 3. **Status words are 0 outside a window.** Only the update collection
-   and a lazy epoch write a non-zero status word, and neither writes an
+   writes a non-zero status word during the pause, and it never writes an
    old object's data cells. So every full-scope rollback zeroes every
    status word below the snapshot bump: it needs no flag saying whether
-   a collection started, and a held lazy epoch needs no log of the
-   shells it forwarded.
+   a collection started.
 
 Known limitation (documented in docs/INTERNALS.md): user code executed
 *during* the update window — ``<clinit>`` of freshly installed classes and
@@ -56,8 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 SCOPE_FULL = "full"
 #: snapshot only code metadata (class files, class records, method
 #: entries) — the immediate-bypass path never touches frames, the JTOC,
-#: or the heap, so its transaction carries no heap addresses at all and
-#: ordinary GC may keep running while the snapshot is held
+#: or the heap, so its transaction carries no heap addresses at all
 SCOPE_CODE_ONLY = "code-only"
 
 
@@ -167,8 +165,7 @@ class UpdateTransaction:
             # file pointers and nothing else: frames keep running (old
             # frames finish on old code by design — rolling them back
             # would rewind the application), and the heap, JTOC and other
-            # roots are never written. Snapshotting them would also pin
-            # heap addresses, forcing GC off for held bypass snapshots.
+            # roots are never written.
             return
 
         # --- roots ----------------------------------------------------
@@ -248,8 +245,8 @@ class UpdateTransaction:
         # high space above everything the snapshot still points into, so
         # whatever the update GC copied there is discardable scribble.
         # Then un-flip to the pre-update space and zero the status words
-        # the (possibly partial) update collection or a held lazy epoch
-        # left in the objects the snapshot still owns.
+        # the (possibly partial) update collection left in the objects
+        # the snapshot still owns.
         heap = vm.heap
         if len(heap.cells) > self.heap_cells_len:
             del heap.cells[self.heap_cells_len:]

@@ -6,8 +6,8 @@ The paper updates one VM; this package scales the mechanism out. A
 the simulated clock, a :class:`LoadBalancer` routes client sessions to
 admitted members, and :meth:`FleetController.rolling_update` drives the
 drain → update → verify → readmit state machine with the
-:class:`~repro.dsu.engine.UpdateEngine` doing the per-VM work and the
-PR-1 transaction snapshot backing the canary's automatic rollback.
+:class:`~repro.dsu.engine.UpdateEngine` doing the per-VM work. A regressed
+canary is rolled back by updating it back to the old version.
 """
 
 from .balancer import LoadBalancer

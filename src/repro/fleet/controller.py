@@ -18,15 +18,16 @@ machine::
 * **draining** — the balancer stops admitting; in-flight sessions get
   ``drain_deadline_ms`` to finish (overrun is recorded, never fatal).
 * **updating** — ``UpdateEngine.submit`` with the orchestrator's retry
-  budget; the canary holds its transaction snapshot across the verify
-  window. A :class:`~repro.dsu.faults.VMCrash` here marks the member
+  budget. A :class:`~repro.dsu.faults.VMCrash` here marks the member
   crashed; recovery restarts it on the old version.
 * **verifying** (canary only) — readmitted under biased traffic while
-  periodic health probes watch error rate and p99 latency; a streak of
-  unhealthy probes triggers :meth:`UpdateEngine.rollback_applied` — the
-  PR-1 snapshot rollback — and halts the rollout with the rest of the
+  periodic health probes watch error rate and p99 latency. A streak of
+  unhealthy probes quiesces the canary and updates it back: the reverse
+  update (new version -> old) runs through the same attempt loop, and if
+  it crashes or never reaches a safe point the canary restarts on the old
+  version instead. Either way the rollout halts with the rest of the
   fleet untouched on the old version.
-* **readmitted** — the snapshot is committed and the next member starts.
+* **readmitted** — the next member starts.
 
 Every fault path produces a structured entry in the
 :class:`RolloutReport` (``report.faults``) naming the member and the
@@ -79,7 +80,7 @@ class RolloutPolicy:
     verify_window_ms: float = 400.0
     verify_extension_ms: float = 400.0
     probe_interval_ms: float = 100.0
-    #: consecutive unhealthy probes that trigger the snapshot rollback
+    #: consecutive unhealthy probes that trigger the canary's rollback
     unhealthy_probes_to_rollback: int = 3
     #: whole submit() attempts per member (each with its own retry policy)
     max_update_attempts: int = 2
@@ -90,19 +91,18 @@ class RolloutPolicy:
     failure_budget: int = 1
     restart_warmup_ms: float = 60.0
 
-    def update_policy(self, canary: bool = False) -> UpdatePolicy:
-        """The fleet's update policy: ``UpdatePolicy()`` — the paper's
-        eager update *without* the harnesses' in-loop OSR rescue
+    def update_policy(self) -> UpdatePolicy:
+        """The fleet's update policy, forward and reverse alike:
+        ``UpdatePolicy()`` — the paper's eager update *without* the
+        harnesses' in-loop OSR rescue
         (``repro.harness.updates.harness_policy``), so the two §4 aborts
-        halt their rollouts — under the orchestrator's retry budget; the
-        canary holds its transaction open across the verify window."""
+        halt their rollouts — under the orchestrator's retry budget."""
         return UpdatePolicy(
             retry=RetryPolicy(
                 timeout_ms=self.update_timeout_ms,
                 retries=self.update_retries,
                 backoff=self.update_backoff,
             ),
-            hold_transaction=canary,
         )
 
 
@@ -146,8 +146,8 @@ class RolloutReport:
     canary: str
     #: "completed" | "rolled-back" | "halted"
     status: str = "completed"
-    #: how the canary came back: "" (it didn't), "snapshot"
-    #: (transaction rollback) or "restart" (crash recovery)
+    #: how the canary came back: "" (it didn't), "reverse-update"
+    #: (updated back to the old version) or "restart" (crash recovery)
     rollback_kind: str = ""
     halt_reason: str = ""
     halted: bool = False
@@ -381,8 +381,8 @@ class FleetController:
             if old_version not in prepared:
                 prepared[old_version] = member.driver.prepare(to_version)
             self._drain(member, row, report)
-            outcome, result = self._update(
-                member, row, prepared[old_version], is_canary=row.canary
+            outcome, result, row.attempts = self._update(
+                member, prepared[old_version]
             )
             if outcome == "crashed":
                 failures += 1
@@ -397,7 +397,8 @@ class FleetController:
                     failures=failures,
                 )
             elif row.canary:
-                self._verify_canary(member, row, report, result, to_version)
+                self._verify_canary(member, row, report, result,
+                                    old_version, to_version)
             else:
                 member.current_version = to_version
                 member.state = STATE_SERVING
@@ -448,13 +449,13 @@ class FleetController:
             )
             self.metrics.inc("fleet.drain_overruns")
 
-    def _update(self, member: FleetMember, row: MemberRollout,
-                prepared: PreparedUpdate, is_canary: bool):
-        """Run the submit/retry loop; returns (outcome, last_result) with
-        outcome in {"applied", "crashed", "exhausted"}."""
+    def _update(self, member: FleetMember, prepared: PreparedUpdate):
+        """Run the submit/retry loop; returns (outcome, last_result,
+        attempts) with outcome in {"applied", "crashed", "exhausted"}."""
         policy = self.rollout_policy
-        update_policy = policy.update_policy(canary=is_canary)
+        update_policy = policy.update_policy()
         result: Optional[UpdateResult] = None
+        attempts = 0
         for attempt in range(policy.max_update_attempts):
             plan = (
                 self.faults.engine_plan_for(member.name, attempt)
@@ -463,7 +464,7 @@ class FleetController:
             result = member.submit_update(
                 prepared, update_policy, fault_plan=plan
             )
-            row.attempts = attempt + 1
+            attempts = attempt + 1
             hard_stop = (
                 self.now + update_policy.retry.total_budget_ms() + 1_000.0
             )
@@ -474,15 +475,15 @@ class FleetController:
             ):
                 self._step_slice()
             if member.state == STATE_CRASHED:
-                return ("crashed", result)
+                return ("crashed", result, attempts)
             if result.succeeded:
-                return ("applied", result)
+                return ("applied", result, attempts)
             if result.status == PENDING:
                 # The engine never resolved within its own budget plus
                 # margin — treat as exhausted rather than resubmitting on
                 # top of a still-active update.
-                return ("exhausted", result)
-        return ("exhausted", result)
+                return ("exhausted", result, attempts)
+        return ("exhausted", result, attempts)
 
     def _recover_crash(self, member: FleetMember, row: MemberRollout,
                        report: RolloutReport, old_version: str,
@@ -491,13 +492,8 @@ class FleetController:
         (an *operational* rollback) and decide whether the rollout may
         continue."""
         policy = self.rollout_policy
-        detail = str(member.crash) if member.crash is not None else "crashed"
-        member.restart(old_version, self.now, policy.restart_warmup_ms)
-        self._harvest()  # account the sessions the crash stranded
-        self.balancer.admit(member.name)
+        self._restart(member, row, report, old_version)
         row.outcome = "crash-recovered"
-        report.record_fault(row, FAULT_MEMBER_CRASH, detail)
-        self.metrics.inc("fleet.member_crashes")
         if is_canary:
             report.halt(
                 f"canary {member.name} crashed mid-update; restarted on "
@@ -511,6 +507,18 @@ class FleetController:
                 f"{policy.failure_budget}) after {member.name} crashed"
             )
         self.run_for(policy.restart_warmup_ms)
+
+    def _restart(self, member: FleetMember, row: MemberRollout,
+                 report: RolloutReport, version: str) -> None:
+        """Replace the member's VM with a fresh one booted on ``version``
+        and readmit it; a crash it died of is recorded first."""
+        if member.state == STATE_CRASHED:
+            detail = str(member.crash) if member.crash is not None else "crashed"
+            report.record_fault(row, FAULT_MEMBER_CRASH, detail)
+            self.metrics.inc("fleet.member_crashes")
+        member.restart(version, self.now, self.rollout_policy.restart_warmup_ms)
+        self._harvest()  # account the sessions the crash stranded
+        self.balancer.admit(member.name)
 
     def _record_exhaustion(self, member: FleetMember, row: MemberRollout,
                            report: RolloutReport,
@@ -544,9 +552,9 @@ class FleetController:
 
     def _verify_canary(self, member: FleetMember, row: MemberRollout,
                        report: RolloutReport, result: UpdateResult,
-                       to_version: str) -> None:
+                       old_version: str, to_version: str) -> None:
         """Serve biased traffic on the freshly updated canary while health
-        probes decide: commit the held transaction, or roll it back."""
+        probes decide: keep the new version, or update back to the old."""
         policy = self.rollout_policy
         member.state = STATE_VERIFYING
         self.balancer.admit(member.name)
@@ -594,7 +602,6 @@ class FleetController:
                 # No regression evidence inside the extended window.
                 decision = "healthy"
         if decision == "healthy":
-            member.engine.commit_applied(result)
             member.current_version = to_version
             member.state = STATE_SERVING
             self.balancer.verify_bias = None
@@ -602,31 +609,35 @@ class FleetController:
             row.pause_ms = result.total_pause_ms
             self.metrics.inc("fleet.updates_applied")
             return
-        # Regression: quiesce the verify traffic, then undo the update
-        # from its held snapshot — the whole world is parked at yield
-        # points between slices, which is what rollback_applied requires.
+        # Regression: quiesce the verify traffic, then update the canary
+        # back to the old version — an ordinary safe-point update under the
+        # member policy. If the reverse update crashes the canary or never
+        # reaches a safe point, restart it on the old version instead.
+        detail = (
+            last_unhealthy.reason if last_unhealthy is not None
+            else "health verification failed"
+        )
+        report.record_fault(row, FAULT_CANARY_REGRESSION, detail)
         self.balancer.evict(member.name)
         quiesce_deadline = self.now + policy.drain_deadline_ms
         while self.now < quiesce_deadline and member.in_flight():
             self._step_slice()
         for record in member.in_flight():
             record.drain_casualty = True
-        member.engine.rollback_applied(result)
-        member.state = STATE_SERVING
-        self.balancer.admit(member.name)
+        reverse = member.driver.prepare_pair(to_version, old_version)
+        outcome, _, _ = self._update(member, reverse)
         row.outcome = "rolled-back"
         row.pause_ms = result.total_pause_ms
-        detail = (
-            last_unhealthy.reason if last_unhealthy is not None
-            else "health verification failed"
-        )
-        report.halt(
-            f"canary {member.name} failed health verification: {detail}",
-            rollback_kind="snapshot",
-        )
-        report.faults.append({
-            "member": member.name,
-            "fault": FAULT_CANARY_REGRESSION,
-            "detail": detail,
-        })
+        reason = f"canary {member.name} failed health verification: {detail}"
         self.metrics.inc("fleet.rollbacks")
+        if outcome == "applied":
+            member.state = STATE_SERVING
+            self.balancer.admit(member.name)
+            report.halt(reason, rollback_kind="reverse-update")
+            return
+        self._restart(member, row, report, old_version)
+        report.halt(
+            f"{reason}; reverse update {outcome}, restarted on {old_version}",
+            rollback_kind="restart",
+        )
+        self.run_for(policy.restart_warmup_ms)

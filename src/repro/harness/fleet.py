@@ -12,7 +12,7 @@ care.
 A second battery injects every fleet-level fault
 (:class:`repro.dsu.faults.FleetFaultPlan`) into a known-good update and
 asserts the orchestrator's recovery: crash → restart-on-old-version
-rollback, health regression → snapshot rollback, flap → tolerated, drain
+rollback, health regression → reverse update, flap → tolerated, drain
 stall → deadline overrun recorded, safe-point blockage → retry
 exhaustion. ``BENCH_fleet.json`` (:func:`fleet_figure`) carries both
 batteries plus the fleet-wide aggregates (availability, transition-tail
@@ -185,7 +185,7 @@ def _scenario_specs() -> List[dict]:
                 health_flap_member="m0", health_flap_checks=99
             ),
             "expect_status": "rolled-back",
-            "expect_rollback_kind": "snapshot",
+            "expect_rollback_kind": "reverse-update",
             "expect_fault": "canary-health-regression",
             "expect_versions": "old",
         },
@@ -264,11 +264,16 @@ def run_fault_scenarios() -> List[dict]:
             problems.append(
                 f"members not on the {spec['expect_versions']} version: {wrong}"
             )
-        canary = controller.members[report.canary]
-        if spec["expect_rollback_kind"] == "snapshot":
-            counter = canary.vm.metrics.counters.get("dsu.canary_rollbacks")
-            if counter is None or counter.value != 1:
-                problems.append("snapshot rollback did not fire on the canary")
+        history = controller.members[report.canary].engine.history
+        if spec["expect_rollback_kind"] == "reverse-update" and not (
+            history and history[-1].succeeded
+            and (history[-1].old_version, history[-1].new_version)
+            == (to_version, from_version)
+        ):
+            problems.append(
+                f"the canary's last update is not an applied "
+                f"{to_version}->{from_version} reverse update"
+            )
         results.append({
             "scenario": spec["name"],
             "status": report.status,

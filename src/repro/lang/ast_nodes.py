@@ -259,7 +259,6 @@ class StaticCall(Expr):
     args: List[Expr]
     owner: Optional[str] = field(default=None, init=False)
     descriptor: Optional[str] = field(default=None, init=False)
-    is_native: bool = field(default=False, init=False)
 
 
 @dataclass

@@ -621,7 +621,6 @@ class TypeChecker:
         self._check_method_access_allowed(method, expr.location)
         expr.owner = method.owner
         expr.descriptor = method.descriptor
-        expr.is_native = method.is_native
         return method.return_type
 
     def _check_super_call(self, expr: ast.SuperCall) -> Type:

@@ -86,3 +86,16 @@ def nonzero_status_words(vm):
             found.append(address)
         address += vm.objects.object_size_cells(address)
     return found
+
+
+def stale_frames(vm):
+    """Frames still running code an update replaced: their method entry is
+    obsolete, or its body moved on since the frame was pushed (the
+    entry's ``bytecode_version`` is not the one the frame entered at)."""
+    return [
+        frame
+        for thread in vm.threads
+        for frame in thread.frames
+        if frame.code.entry.obsolete
+        or frame.entered_at_version != frame.code.entry.bytecode_version
+    ]

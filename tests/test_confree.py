@@ -249,13 +249,12 @@ class TestBundledSweep:
 # dynamic: the engine's immediate-bypass apply mode
 
 
-def submit_bypass(fixture, prepared, at_ms=55, bypass="auto", **kwargs):
+def submit_bypass(fixture, prepared, at_ms=55, bypass="auto"):
     holder = {}
     request = UpdateRequest(
         prepared,
-        policy=UpdatePolicy(
-            retry=RetryPolicy(timeout_ms=2_000.0), bypass=bypass, **kwargs
-        ),
+        policy=UpdatePolicy(retry=RetryPolicy(timeout_ms=2_000.0),
+                            bypass=bypass),
     )
     fixture.vm.events.schedule(
         at_ms, lambda: holder.update(result=fixture.engine.submit(request))
@@ -357,53 +356,3 @@ class Main {
         switch = fixture.console.index("r2")
         assert all(line == "r1" for line in fixture.console[:switch])
         assert all(line == "r2" for line in fixture.console[switch:])
-
-
-#: long-lived variant so behavior is still observable after the held
-#: window resolves at simulated second ~0.4
-LONG = BASE.replace("rounds < 40", "rounds < 400")
-LONG_V2 = LONG.replace('return "v1";', 'return "v2";')
-
-
-class TestBypassHeldTransaction:
-    def submit_held(self):
-        fixture = UpdateFixture(LONG).start()
-        prepared = fixture.prepare(LONG_V2)
-        holder = submit_bypass(fixture, prepared, hold_transaction=True)
-        fixture.run(until_ms=400)
-        result = holder["result"]
-        assert result.succeeded and result.bypassed, result.reason
-        return fixture, result
-
-    def entry(self, fixture):
-        return fixture.vm.methods.lookup("Greeter", "greet", "()S")
-
-    def test_hold_keeps_transaction_without_pinning_gc(self):
-        fixture, result = self.submit_held()
-        assert result.transaction is not None
-        # A code-only snapshot holds no heap addresses, so unlike the
-        # safe-point path the GC stays enabled during the held window.
-        assert fixture.vm.gc_disabled is False
-        fixture.vm.collect()  # must not corrupt the held snapshot
-
-    def test_rollback_restores_old_bodies_and_version_tags(self):
-        fixture, result = self.submit_held()
-        bumped = self.entry(fixture).bytecode_version
-        fixture.engine.rollback_applied(result)
-        assert result.transaction is None
-        assert self.entry(fixture).bytecode_version == bumped - 1
-        # New invocations bind the restored old body again.
-        before = len(fixture.console)
-        fixture.run(until_ms=3_000)
-        tail = fixture.console[before:]
-        assert tail and all(line == "v1" for line in tail)
-        assert fixture.vm.trap_log == []
-
-    def test_commit_keeps_the_new_bodies(self):
-        fixture, result = self.submit_held()
-        fixture.engine.commit_applied(result)
-        assert result.transaction is None
-        before = len(fixture.console)
-        fixture.run(until_ms=3_000)
-        tail = fixture.console[before:]
-        assert tail and all(line == "v2" for line in tail)

@@ -1,5 +1,4 @@
-"""Fleet-scale rolling updates: controller, balancer, member lifecycle,
-and the engine's held-transaction verification window.
+"""Fleet-scale rolling updates: controller, balancer and member lifecycle.
 
 Fault-injection scenarios live in ``test_fleet_faults.py``; these tests
 cover the happy paths and the building blocks.
@@ -7,18 +6,12 @@ cover the happy paths and the building blocks.
 
 import pytest
 
-from repro.dsu.engine import UpdateRequest
-from repro.dsu.policy import UpdatePolicy
-from repro.dsu.safepoint import RetryPolicy
 from repro.fleet import (
     FleetController,
     RolloutPolicy,
     STATE_SERVING,
 )
 from repro.harness.updates import AppDriver
-from tests.dsu_helpers import UpdateFixture
-from tests.test_dsu_faults import pool_fields
-from tests.test_gc_extras import UPDATE_V1, UPDATE_V2
 
 
 def make_fleet(app="jetty", version="5.1.1", size=2, seed=7, **kwargs):
@@ -191,70 +184,3 @@ class TestRollingUpdate:
         controller.stop_traffic()
         controller.run_for(500)
         assert controller.transition_p99_ms() > 0.0
-
-
-class TestHeldTransactionWindow:
-    """UpdateEngine.submit(hold_transaction=True) keeps the transaction
-    snapshot (and pins the GC) until commit_applied / rollback_applied —
-    the mechanism behind the canary verify window."""
-
-    def submit_held(self):
-        fixture = UpdateFixture(UPDATE_V1).start()
-        prepared = fixture.prepare(UPDATE_V2)
-        holder = {}
-        fixture.vm.events.schedule(55, lambda: holder.update(
-            result=fixture.engine.submit(UpdateRequest(
-                prepared,
-                policy=UpdatePolicy(retry=RetryPolicy(timeout_ms=2_000.0),
-                                    hold_transaction=True),
-            ))
-        ))
-        fixture.run(until_ms=1_000)
-        result = holder["result"]
-        assert result.succeeded, result.reason
-        return fixture, result
-
-    def test_hold_retains_transaction_and_pins_gc(self):
-        fixture, result = self.submit_held()
-        assert result.transaction is not None
-        assert fixture.vm.gc_disabled is True
-        assert pool_fields(fixture.vm) == ["a", "b", "c"]
-
-    def test_commit_releases_the_window(self):
-        fixture, result = self.submit_held()
-        fixture.engine.commit_applied(result)
-        assert result.transaction is None
-        assert fixture.vm.gc_disabled is False
-        # Still on the new version; the world keeps running.
-        assert pool_fields(fixture.vm) == ["a", "b", "c"]
-        fixture.run(until_ms=10_000)
-        assert fixture.vm.halted is False
-
-    def test_rollback_restores_the_old_version(self):
-        fixture, result = self.submit_held()
-        fixture.engine.rollback_applied(result)
-        assert result.transaction is None
-        assert fixture.vm.gc_disabled is False
-        assert pool_fields(fixture.vm) == ["a", "b"]
-        assert fixture.vm.metrics.counters["dsu.canary_rollbacks"].value == 1
-        # The old-version workload must run to completion afterwards.
-        fixture.run(until_ms=10_000)
-        assert fixture.vm.halted is False
-
-    def test_commit_and_rollback_require_a_held_transaction(self):
-        fixture = UpdateFixture(UPDATE_V1).start()
-        holder = fixture.update_at(55, UPDATE_V2)
-        fixture.run(until_ms=1_000)
-        result = holder["result"]
-        assert result.succeeded and result.transaction is None
-        with pytest.raises(ValueError):
-            fixture.engine.commit_applied(result)
-        with pytest.raises(ValueError):
-            fixture.engine.rollback_applied(result)
-
-    def test_plain_submit_does_not_pin_gc(self):
-        fixture = UpdateFixture(UPDATE_V1).start()
-        holder = fixture.update_at(55, UPDATE_V2)
-        fixture.run(until_ms=1_000)
-        assert holder["result"].succeeded
-        assert fixture.vm.gc_disabled is False

@@ -7,7 +7,9 @@ scale: two members, jetty 5.1.1 -> 5.1.2 (a pair that installs classes,
 so mid-install crash points actually fire).
 """
 
-from repro.dsu.faults import FleetFaultInjector, FleetFaultPlan
+import pytest
+
+from repro.dsu.faults import FaultPlan, FleetFaultInjector, FleetFaultPlan
 from repro.fleet import (
     FAULT_CANARY_REGRESSION,
     FAULT_DRAIN_OVERRUN,
@@ -22,10 +24,11 @@ from repro.fleet import (
 OLD, NEW = "5.1.1", "5.1.2"
 
 
-def run_scenario(plan, rollout=None, size=2, seed=7):
+def run_scenario(plan, rollout=None, size=2, seed=7,
+                 injector=FleetFaultInjector):
     controller = FleetController(
         "jetty", OLD, size=size, seed=seed, rollout=rollout,
-        faults=FleetFaultInjector(plan),
+        faults=injector(plan),
     )
     controller.run_for(150)
     controller.start_traffic(interval_ms=40.0, jitter_ms=8.0)
@@ -85,21 +88,63 @@ class TestMemberCrashMidUpdate:
 
 
 class TestCanaryHealthRegression:
-    def test_unhealthy_streak_triggers_snapshot_rollback(self):
+    def test_unhealthy_streak_triggers_a_reverse_update(self):
         controller, report = run_scenario(
             FleetFaultPlan(health_flap_member="m0", health_flap_checks=99)
         )
         assert report.status == "rolled-back"
-        assert report.rollback_kind == "snapshot"
+        assert report.rollback_kind == "reverse-update"
         assert report.halted
         assert FAULT_CANARY_REGRESSION in report.fault_names()
         assert report.versions == {"m0": OLD, "m1": OLD}
-        assert report.members[0].outcome == "rolled-back"
-        # The rollback came from the held transaction, not a restart.
+        canary_row = report.members[0]
+        assert canary_row.outcome == "rolled-back"
+        assert canary_row.faults[-1] == FAULT_CANARY_REGRESSION
+        # The canary was updated back in place, not restarted.
         canary = controller.members["m0"]
         assert canary.restarts == 0
-        assert canary.vm.metrics.counters["dsu.canary_rollbacks"].value == 1
+        forward, reverse = canary.engine.history
+        assert forward.succeeded and reverse.succeeded
+        assert (reverse.old_version, reverse.new_version) == (NEW, OLD)
         assert canary.vm.gc_disabled is False
+        assert controller._sum_counters("fleet.rollbacks") == 1
+        assert_fleet_alive(controller)
+
+    @pytest.mark.parametrize("reverse_fault, outcome", [
+        (FaultPlan(block_safepoint_forever=True), "exhausted"),
+        (FaultPlan(crash_after_classes=0), "crashed"),
+    ])
+    def test_a_reverse_update_that_cannot_land_falls_back_to_a_restart(
+            self, reverse_fault, outcome):
+        class FaultTheReverse(FleetFaultInjector):
+            """The canary's forward update is clean; every later attempt
+            on it gets ``reverse_fault``."""
+
+            submits = 0
+
+            def engine_plan_for(self, member, attempt):
+                if member == "m0":
+                    self.submits += 1
+                    if self.submits > 1:
+                        return reverse_fault
+                return super().engine_plan_for(member, attempt)
+
+        controller, report = run_scenario(
+            FleetFaultPlan(health_flap_member="m0", health_flap_checks=99),
+            rollout=RolloutPolicy(update_timeout_ms=300.0, update_retries=0),
+            injector=FaultTheReverse,
+        )
+        assert report.status == "rolled-back"
+        assert report.rollback_kind == "restart"
+        assert f"reverse update {outcome}, restarted on {OLD}" in (
+            report.halt_reason)
+        assert report.versions == {"m0": OLD, "m1": OLD}
+        assert report.members[0].outcome == "rolled-back"
+        assert (FAULT_MEMBER_CRASH in report.fault_names()) == (
+            outcome == "crashed")
+        canary = controller.members["m0"]
+        assert canary.restarts == 1
+        assert canary.engine.history == []  # a fresh VM on the old version
         assert controller._sum_counters("fleet.rollbacks") == 1
         assert_fleet_alive(controller)
 

@@ -317,19 +317,18 @@ class TestDefaultPolicies:
         assert harness_policy() == UpdatePolicy(
             retry=RetryPolicy(timeout_ms=15_000.0, retries=0, backoff=2.0),
             lint="off", bypass="off", inloop_osr="auto", transform="eager",
-            hold_transaction=False, heap_grow=False,
+            heap_grow=False,
         )
         lazy = harness_policy(400.0, transform="lazy")
         assert (lazy.retry.timeout_ms, lazy.transform) == (400.0, "lazy")
         assert harness_policy(inloop_osr="off").inloop_osr == "off"
 
-    def test_fleet_default_has_no_rescue_and_holds_only_the_canary(self):
+    def test_fleet_default_has_no_rescue(self):
         from repro.fleet import RolloutPolicy
 
         rollout = RolloutPolicy()
-        member, canary = rollout.update_policy(), rollout.update_policy(canary=True)
-        assert member.inloop_osr == "off" and canary.inloop_osr == "off"
-        assert not member.hold_transaction and canary.hold_transaction
+        member = rollout.update_policy()
+        assert member.inloop_osr == "off"
         assert member.retry.timeout_ms == rollout.update_timeout_ms
         assert member.retry.retries == rollout.update_retries
         assert (member.bypass, member.transform) == ("off", "eager")

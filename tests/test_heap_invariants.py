@@ -7,8 +7,9 @@ status words.
   with the size of a live instance and with the field rule.
 * Outside an update window or an open lazy epoch no status word in the
   current space is non-zero: not after an applied update in any row of
-  ``UPDATE_MODES``, not after an aborted one, not after a held lazy
-  rollback. While the eager transform phase runs, the only non-zero words
+  ``UPDATE_MODES``, not after an aborted one (the reverse update that
+  rolls an applied one back is checked in ``tests/test_reverse_update.py``).
+  While the eager transform phase runs, the only non-zero words
   are the old-copy addresses the update collection cached in the new
   objects (§3.4).
 """
@@ -18,15 +19,13 @@ import pytest
 from repro.apps.registry import APPS
 from repro.dsu.engine import ABORTED, APPLIED, MODE_EAGER, UPDATE_MODES
 from repro.dsu.faults import FaultInjector, FaultPlan
-from repro.dsu.policy import UpdatePolicy
 from repro.harness.updates import AppDriver
 from repro.lang.types import parse_descriptor
 from repro.vm.heap import HEADER_STATUS
 from repro.vm.objectmodel import ARRAY_ELEMS_OFFSET
 from repro.vm.rvmclass import RVMClass
 from tests.dsu_helpers import UpdateFixture, nonzero_status_words
-from tests.test_lazy_transform import SLEEPY_V1, SLEEPY_V2, disable_sweep
-from tests.test_update_pipeline import RETRY, SCENARIOS, run_mode
+from tests.test_update_pipeline import SCENARIOS, run_mode
 
 BUNDLED_VERSIONS = [
     (app, version) for app in APPS for version in APPS[app].versions
@@ -79,22 +78,6 @@ class TestStatusWordsAreZeroOutsideAWindow:
         fixture, result = run_mode(MODE_EAGER, plan=plan)
         assert result.status == ABORTED
         assert result.failed_phase == phase and result.rolled_back
-        assert nonzero_status_words(fixture.vm) == []
-
-    def test_after_a_held_lazy_rollback(self):
-        fixture = UpdateFixture(SLEEPY_V1, heap_cells=1 << 15).start()
-        disable_sweep(fixture)
-        policy = UpdatePolicy(retry=RETRY, transform="lazy",
-                              hold_transaction=True)
-        holder = fixture.update_at(55, SLEEPY_V2, policy=policy)
-        fixture.run(until_ms=120)
-        result = holder["result"]
-        assert result.succeeded, result.reason
-        assert fixture.engine.drain_lazy_epoch(max_objects=20) > 0
-        # The open epoch's same-space forwarding is the one exception ...
-        assert nonzero_status_words(fixture.vm) != []
-        fixture.engine.rollback_applied(result)
-        # ... and the rollback zeroes it with no log of its own.
         assert nonzero_status_words(fixture.vm) == []
 
 

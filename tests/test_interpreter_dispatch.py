@@ -403,10 +403,6 @@ def is_lazy_armed(vm) -> bool:
     )
 
 
-LAZY_HOLD = UpdatePolicy(retry=RetryPolicy(timeout_ms=5_000.0),
-                         transform="lazy", hold_transaction=True)
-
-
 def open_epoch(policy=LAZY, n=24):
     fixture = UpdateFixture(SLEEPY_V1.replace("Pool.fill(40)", f"Pool.fill({n})"),
                             heap_cells=1 << 15).start()
@@ -432,16 +428,18 @@ def test_epoch_close_disarms():
     assert is_plain(fixture.vm)
 
 
-def test_held_window_rollback_disarms():
-    fixture, result = open_epoch(LAZY_HOLD)
-    fixture.engine.rollback_applied(result)
-    assert is_plain(fixture.vm)
-
-
 def test_mid_sweep_rollback_disarms():
-    fixture, result = open_epoch(LAZY_HOLD)
+    fixture, _ = open_epoch()
     assert 0 < fixture.engine.drain_lazy_epoch(max_objects=24) < 24
-    fixture.engine.rollback_applied(result)
+    # The rollback is the reverse update: its submit drains the open
+    # epoch, and an eager reverse opens none.
+    holder = fixture.update_at(
+        fixture.vm.clock.now_ms,
+        SLEEPY_V1.replace("Pool.fill(40)", "Pool.fill(24)"), "1.0",
+        policy=UpdatePolicy(retry=RetryPolicy(timeout_ms=5_000.0)),
+    )
+    fixture.run(until_ms=300)
+    assert holder["result"].succeeded, holder["result"].reason
     assert is_plain(fixture.vm)
     fixture.run(until_ms=5_000)
     assert fixture.console == [f"sum:{24 * 25 // 2}:v1"]

@@ -1,6 +1,6 @@
 """The lazy transformation mode: on-first-touch read barrier, idle-time
 sweep, epoch close (forced forwarding-collapse collection), interaction
-with GC and in-loop OSR rescue, and exact mid-epoch rollback.
+with GC and in-loop OSR rescue, and a mid-epoch rollback by reverse update.
 
 The programs are built so the interesting path is forced:
 
@@ -8,8 +8,8 @@ The programs are built so the interesting path is forced:
   every transform must come from the read barrier;
 * sleepy loops idle constantly, so the sweep drains the epoch in the
   background while the app never touches the pending objects;
-* a quiescent app (sleeping, touching nothing) keeps the heap image
-  frozen so a held-window rollback can be compared bit for bit.
+* a quiescent app (sleeping, touching nothing) keeps its state frozen,
+  so the heap after a rollback compares with the heap before the update.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 from repro.dsu.engine import UpdateRequest
 from repro.dsu.policy import UpdatePolicy
 from repro.dsu.safepoint import RetryPolicy
+from repro.harness.lazyheap import heap_fingerprint
 from repro.vm.heap import HEADER_STATUS, HEADER_TIB
 from tests.dsu_helpers import UpdateFixture
 
 LAZY = UpdatePolicy(retry=RetryPolicy(timeout_ms=5_000.0), transform="lazy")
-LAZY_HOLD = UpdatePolicy(retry=RetryPolicy(timeout_ms=5_000.0),
-                         transform="lazy", hold_transaction=True)
 
 # Busy: main never sleeps, so there is no idle slice and no sweep; the
 # only way an Item ever gets transformed is the read/write barrier in
@@ -458,72 +457,9 @@ class TestDifferentialVsEager:
         assert items(eager) == items(lazy)
 
 
-def heap_image(vm):
-    """Everything a rollback must restore bit for bit."""
-    heap = vm.heap
-    return (
-        heap.current_space,
-        heap.bump,
-        list(heap.cells[heap.space_start:heap.bump]),
-        len(vm.jtoc.cells),
-        list(vm.jtoc.cells),
-    )
-
-
 class TestMidSweepRollback:
-    def held_fixture(self, n=24):
-        source = SLEEPY_V1.replace("Pool.fill(40)", f"Pool.fill({n})")
-        v2 = SLEEPY_V2.replace("Pool.fill(40)", f"Pool.fill({n})")
-        fixture = UpdateFixture(source, heap_cells=1 << 15).start()
-        disable_sweep(fixture)
-        fixture.run(until_ms=54)
-        pre = heap_image(fixture.vm)
-        holder = lazy_update(fixture, 55, v2, policy=LAZY_HOLD)
-        fixture.run(until_ms=120)
-        result = holder["result"]
-        assert result.succeeded, result.reason
-        assert result.lazy_epoch is not None
-        assert fixture.vm.gc_disabled
-        return fixture, result, pre, n
-
-    def test_rollback_mid_sweep_restores_the_exact_heap_image(self):
-        fixture, result, pre, n = self.held_fixture()
-        # Drain roughly half the pool, then change our mind.
-        transformed = fixture.engine.drain_lazy_epoch(max_objects=n)
-        assert 0 < transformed < n
-        fixture.engine.rollback_applied(result)
-        assert heap_image(fixture.vm) == pre
-        assert fixture.engine.lazy_epoch is None
-        # The program finishes on the old version.
-        fixture.run(until_ms=5_000)
-        checksum = n * (n + 1) // 2
-        assert fixture.console == [f"sum:{checksum}:v1"]
-
-    def test_commit_mid_sweep_keeps_the_new_version(self):
-        fixture, result, pre, n = self.held_fixture()
-        fixture.engine.drain_lazy_epoch(max_objects=n)
-        fixture.engine.commit_applied(result)
-        assert not fixture.vm.gc_disabled
-        fixture.run(until_ms=5_000)
-        checksum = n * (n + 1) // 2
-        assert fixture.console == [f"sum:{checksum}:v2"]
-
-    def test_fully_drained_held_epoch_parks_until_commit(self):
-        fixture, result, pre, n = self.held_fixture()
-        # Drain everything: the sweep reaches the bump pointer but must
-        # not close (the closing collection needs the pinned GC).
-        fixture.engine.drain_lazy_epoch()
-        epoch = fixture.engine.lazy_epoch
-        assert epoch is not None and not epoch.closed
-        assert epoch.transformed == n
-        fixture.engine.commit_applied(result)
-        # Sweep re-enabled after commit (our stub kept it off; call the
-        # real drain) — now it may close and collect.
-        fixture.engine.drain_lazy_epoch()
-        assert fixture.engine.lazy_epoch is None
-        fixture.run(until_ms=5_000)
-        checksum = n * (n + 1) // 2
-        assert fixture.console == [f"sum:{checksum}:v2"]
+    """Rolling back a lazy update mid-sweep is the reverse update: its
+    submit drains the open epoch, then it applies like any other."""
 
     @given(
         n=st.integers(min_value=1, max_value=16),
@@ -531,10 +467,21 @@ class TestMidSweepRollback:
     )
     @settings(max_examples=8, deadline=None)
     def test_rollback_exactness_property(self, n, budget):
-        fixture, result, pre, _ = self.held_fixture(n=n)
+        v1 = SLEEPY_V1.replace("Pool.fill(40)", f"Pool.fill({n})")
+        v2 = SLEEPY_V2.replace("Pool.fill(40)", f"Pool.fill({n})")
+        fixture = UpdateFixture(v1, heap_cells=1 << 15).start()
+        disable_sweep(fixture)
+        fixture.run(until_ms=54)
+        pre = heap_fingerprint(fixture.vm)
+        holder = lazy_update(fixture, 55, v2)
+        fixture.run(until_ms=120)
+        assert holder["result"].succeeded, holder["result"].reason
         fixture.engine.drain_lazy_epoch(max_objects=budget)
-        fixture.engine.rollback_applied(result)
-        assert heap_image(fixture.vm) == pre
+        reverse = fixture.update_at(120, v1, "1.0", policy=LAZY)
+        fixture.run(until_ms=200)
+        assert reverse["result"].succeeded, reverse["result"].reason
+        fixture.engine.drain_lazy_epoch()
+        assert heap_fingerprint(fixture.vm) == pre
         fixture.run(until_ms=5_000)
         checksum = n * (n + 1) // 2
         assert fixture.console == [f"sum:{checksum}:v1"]

@@ -22,7 +22,6 @@ class TestPolicyObject:
         assert policy.bypass == "off"
         assert policy.inloop_osr == "off"
         assert policy.transform == "eager"
-        assert policy.hold_transaction is False
         assert policy.heap_grow is False
 
     def test_paper_preset_is_the_default_policy(self):
@@ -91,7 +90,7 @@ class TestRequestShape:
         dict(lint="warn"),
         dict(bypass="auto"),
         dict(inloop_osr="auto"),
-        dict(hold_transaction=True),
+        dict(transform="lazy"),
     ])
     def test_the_old_mode_kwargs_are_gone(self, kwargs):
         prepared = UpdateFixture(UPDATE_V1).prepare(UPDATE_V2)
@@ -126,18 +125,6 @@ class TestPolicyDrivesTheEngine:
         result = holder["result"]
         assert not result.succeeded
         assert result.reason_code == "heap-preflight"
-
-    def test_policy_hold_transaction_keeps_the_snapshot(self):
-        fixture = UpdateFixture(UPDATE_V1).start()
-        holder = fixture.update_at(
-            55, UPDATE_V2, policy=UpdatePolicy(hold_transaction=True)
-        )
-        fixture.run(until_ms=1_000)
-        result = holder["result"]
-        assert result.succeeded, result.reason
-        assert result.transaction is not None
-        fixture.engine.commit_applied(result)
-        assert result.transaction is None
 
     def test_policy_transform_mode_lands_in_the_result(self):
         fixture = UpdateFixture(UPDATE_V1).start()

@@ -2,8 +2,7 @@
 ``engine.UPDATE_MODES`` run by a single transaction driver, so the trace,
 ``phase_ms`` and the failure path of each mode can be read off the table.
 
-Also the two stream bugs the driver's single entry point fixes: a submit
-onto an open ``hold_transaction`` window is refused, and the drain a
+Also the stream bug the driver's single entry point fixes: the drain a
 back-to-back lazy update forces is charged to the update that forced it.
 """
 
@@ -133,7 +132,7 @@ class TestModesAreRowsOfOneTable:
         )
         assert result.rolled_back
         assert not result.osr_rescued and result.extended_osr_frames == 0
-        assert result.transaction is None and result.transform_mode == ""
+        assert result.transform_mode == ""
         # Only the phases that finished before the failure are accounted.
         assert list(result.phase_ms) == [
             p.key for p in phases[:1] if p.key is not None
@@ -158,71 +157,10 @@ class TestModesAreRowsOfOneTable:
         assert not any("v2" in line for line in fixture.console)
 
 
-HOLD = {
-    "eager": UpdatePolicy(retry=RETRY, hold_transaction=True),
-    "lazy": UpdatePolicy(retry=RETRY, transform="lazy",
-                         hold_transaction=True),
-}
 SLEEPY_V3 = SLEEPY_V2.replace(
     "class Item { int a; int b; int c; }",
     "class Item { int a; int b; int c; int d; }",
 ).replace('return "v2";', 'return "v3";')
-
-
-class TestHeldWindowRefusesASecondUpdate:
-    def held(self, transform):
-        fixture = UpdateFixture(SLEEPY_V1).start()
-        holder = fixture.update_at(55, SLEEPY_V2, policy=HOLD[transform])
-        fixture.run(until_ms=120)
-        first = holder["result"]
-        assert first.succeeded and first.transaction is not None
-        assert (first.lazy_epoch is not None) == (transform == "lazy")
-        return fixture, first
-
-    def second_request(self, fixture, source, version):
-        return UpdateRequest(fixture.prepare(source, version),
-                             policy=UpdatePolicy(retry=RETRY))
-
-    @pytest.mark.parametrize("transform", ["eager", "lazy"])
-    def test_submit_is_refused_while_the_window_is_open(self, transform):
-        fixture, first = self.held(transform)
-        request = self.second_request(fixture, SLEEPY_V3, "3.0")
-        history = list(fixture.engine.history)
-        with pytest.raises(RuntimeError, match="already in progress"):
-            fixture.engine.submit(request)
-        # Refused up front: nothing recorded, nothing signalled, and the
-        # held snapshot (and the lazy epoch behind it) is untouched.
-        assert fixture.engine.history == history
-        assert fixture.engine.active is None
-        assert not fixture.vm.update_pending
-        assert first.transaction is not None
-        assert (fixture.engine.lazy_epoch is not None) == (transform == "lazy")
-
-    @pytest.mark.parametrize("transform", ["eager", "lazy"])
-    def test_submit_is_accepted_again_after_commit(self, transform):
-        fixture, first = self.held(transform)
-        fixture.engine.commit_applied(first)
-        fixture.current_version = "2.0"
-        request = self.second_request(fixture, SLEEPY_V3, "3.0")
-        second = fixture.engine.submit(request)
-        fixture.run(until_ms=400)
-        assert second.succeeded, second.reason
-        fixture.run(until_ms=3_000)
-        assert fixture.console == ["sum:820:v3"]
-
-    @pytest.mark.parametrize("transform", ["eager", "lazy"])
-    def test_submit_is_accepted_again_after_rollback(self, transform):
-        fixture, first = self.held(transform)
-        fixture.engine.rollback_applied(first)
-        fixture.current_version = "1.0"
-        # Back on 1.0: the same 1.0 -> 2.0 update applies afresh.
-        request = self.second_request(fixture, SLEEPY_V2, "2.0")
-        second = fixture.engine.submit(request)
-        fixture.run(until_ms=400)
-        assert second.succeeded, second.reason
-        assert second is not first
-        fixture.run(until_ms=3_000)
-        assert fixture.console == ["sum:820:v2"]
 
 
 class TestForcedDrainBelongsToTheUpdateThatForcedIt:
