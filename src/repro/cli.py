@@ -214,10 +214,13 @@ def cmd_trace(args) -> int:
 
 def cmd_report(args) -> int:
     """Regenerate every committed artifact; exit 1 on any problem."""
-    from .harness.report import generate_report
+    from .harness.report import generate_report, render_timings
 
-    report, problems = generate_report(args.scale, args.out_dir)
+    timings = [] if args.timings else None
+    report, problems = generate_report(args.scale, args.out_dir, timings)
     print(report)
+    if timings is not None:
+        print(render_timings(timings), file=sys.stderr)
     for problem in problems:
         print(f"FIGURE {problem}", file=sys.stderr)
     return 1 if problems else 0
@@ -672,6 +675,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'small' produced the committed artifacts; "
                              "'full' runs the paper figures at larger heaps")
     report.add_argument("--out-dir", default="benchmark_results")
+    report.add_argument("--timings", action="store_true",
+                        help="print each row's host seconds on stderr "
+                             "(never written into an artifact)")
     report.set_defaults(fn=cmd_report)
     return parser
 

@@ -30,13 +30,19 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 from ..obs import Tracer
 from ..vm.classloader import ClassLoadError
 from ..vm.gc import GCStats
-from ..vm.heap import HEAP_BASE, HeapPreflightError, OutOfMemoryError
+from ..vm.heap import (
+    HEADER_STATUS,
+    HEADER_TIB,
+    HEAP_BASE,
+    HeapPreflightError,
+    OutOfMemoryError,
+)
 from ..vm.machinecode import CompiledMethod, MethodEntry
 from ..vm.osr import OSRError, osr_replace_all, osr_replace_mapped
 from ..vm.rvmclass import RVMClass
 from .faults import FaultInjector, InjectedFault, VMCrash
 from .install import install_bodies, install_classes, retire_old_version
-from .lazy import LazyEpoch
+from .lazy import LazyEpoch, count_transformer_runs
 from .policy import UpdatePolicy
 from .safepoint import (
     RestrictedSets,
@@ -111,6 +117,30 @@ def field_copy_plan(code: CompiledMethod) -> Optional[CopyPlan]:
             return None
         plan.append((get.a, put.a))
     return tuple(plan)
+
+
+class ObjectTransformer:
+    """One new class's ``jvolveObject(to, from)``, as every caller runs
+    it: the eager log replay, ``Sys.forceTransform`` and the lazy epoch's
+    barrier and sweep. Resolved on the class's first object; the plan is
+    re-read only when the entry's compiled code is no longer ``code``."""
+
+    __slots__ = ("entry", "code", "plan", "charge", "steps")
+
+    def __init__(self, entry: Optional[MethodEntry], charge: int):
+        #: the transformer method; ``None`` when the class has none
+        self.entry = entry
+        #: the compiled code ``plan`` was read from (``None`` before the
+        #: first object)
+        self.code: Optional[CompiledMethod] = None
+        #: the body's field copies, or ``None``: interpret the body
+        self.plan: Optional[CopyPlan] = None
+        #: reflective dispatch + field-by-field copy cycles, per object
+        #: (§4.1: "our transformer functions use reflection to look up
+        #: jvolveObject, and this function copies one field at a time")
+        self.charge = charge
+        #: instructions the plan stands for (``4n+1``)
+        self.steps = 0
 
 
 def _classify_failure(
@@ -357,13 +387,9 @@ class UpdateEngine:
         self.active: Optional[_ActiveUpdate] = None
         self.history: List[UpdateResult] = []
         self._transform_in_progress: Set[int] = set()
-        #: per new class of the update being transformed: its
-        #: ``jvolveObject`` entry, the compiled code the copy plan was read
-        #: from, and the plan (``None``: interpret the body)
-        self._object_transformers: Dict[
-            RVMClass, Tuple[Optional[MethodEntry], Optional[CompiledMethod],
-                            Optional[CopyPlan]]
-        ] = {}
+        #: new class id -> its :class:`ObjectTransformer`, for the update
+        #: being transformed (eagerly, or by an open lazy epoch)
+        self._object_transformers: Dict[int, ObjectTransformer] = {}
         #: old-version frames still in flight after the latest bypass
         #: install; decremented by the interpreter's retirement hook
         self._bypass_stale_outstanding = 0
@@ -902,8 +928,7 @@ class UpdateEngine:
             with tracer.span("dsu.transform.log-replay", "dsu",
                              log_entries=len(stats.update_log)):
                 self._transform_in_progress.clear()
-                for old_address, new_address in stats.update_log:
-                    self._transform_object(active, old_address, new_address)
+                self._replay(active, stats.update_log)
             span.args["objects"] = stats.objects_updated
         finally:
             vm.force_transform_hook = None
@@ -1057,9 +1082,12 @@ class UpdateEngine:
         self._object_transformers.clear()
 
     def _run_object_transformer(self, prefix: str, new_class: RVMClass,
-                                new_address: int, old_address: int) -> None:
-        """Run ``jvolveObject(new, old)`` for one object — the per-object
-        work of both the eager log replay and the lazy epoch.
+                                new_address: int,
+                                old_address: int) -> Optional[bool]:
+        """Run ``jvolveObject(new, old)`` for one object, through
+        ``new_class``'s :class:`ObjectTransformer`. Returns ``None`` when
+        the class has no transformer, else whether the body ran as its
+        copy plan.
 
         A body with the UPT default shape (:func:`field_copy_plan`) runs
         as its copies instead of on an interpreter thread, charged exactly
@@ -1069,64 +1097,81 @@ class UpdateEngine:
         and per PUTFIELD (on ``to``: a new-class object, a no-op)."""
         vm = self.vm
         clock = vm.clock
-        costs = clock.costs
-        # Reflective dispatch + field-by-field copy cost model (§4.1: "our
-        # transformer functions use reflection to look up jvolveObject, and
-        # this function copies one field at a time").
-        clock.tick(
-            costs.transform_dispatch
-            + costs.transform_field * len(new_class.field_layout)
-        )
-        memo = self._object_transformers.get(new_class)
-        if memo is None:
+        record = self._object_transformers.get(new_class.id)
+        if record is None:
+            # The class's first object; ``prefix`` names the old classes.
+            costs = clock.costs
             descriptor = f"(L{new_class.name};,L{prefix}{new_class.name};)V"
-            memo = self._object_transformers[new_class] = (
-                vm.methods.lookup(TRANSFORMERS_CLASS, "jvolveObject",
-                                  descriptor),
-                None, None,
+            record = self._object_transformers[new_class.id] = (
+                ObjectTransformer(
+                    vm.methods.lookup(TRANSFORMERS_CLASS, "jvolveObject",
+                                      descriptor),
+                    costs.transform_dispatch
+                    + costs.transform_field * len(new_class.field_layout),
+                )
             )
-        entry, planned_code, plan = memo
+        clock.cycles += record.charge
+        entry = record.entry
         if entry is None:
-            return
-        # Kept for the plan too: the first call's JIT cost and span.
-        code = vm.jit.ensure_compiled(entry)
-        if code is not planned_code:
-            plan = field_copy_plan(code)
-            self._object_transformers[new_class] = (entry, code, plan)
+            return None
+        code = entry.active_code()
+        if code is None or code is not record.code:
+            # The first object, or the code was replaced: compiling lands
+            # its JIT charge and span here, after the dispatch charge.
+            code = record.code = vm.jit.ensure_compiled(entry)
+            plan = record.plan = field_copy_plan(code)
+            record.steps = 4 * len(plan) + 1 if plan is not None else 0
+        plan = record.plan
         if plan is None:
             vm.run_static_method_synchronously(entry, [new_address, old_address])
-        else:
-            cells = vm.heap.cells
-            for old_offset, new_offset in plan:
-                cells[new_address + new_offset] = cells[old_address + old_offset]
-            steps = 4 * len(plan) + 1
-            vm.interpreter.instructions_executed += steps
-            clock.instruction(steps)
-            if vm.interpreter.lazy_barrier_armed:
-                clock.tick(costs.lazy_barrier_check * 2 * len(plan))
-            vm.metrics.inc("dsu.transformer_plan_copies")
-        vm.metrics.inc("dsu.transformer_invocations")
+            return False
+        cells = vm.heap.cells
+        for old_offset, new_offset in plan:
+            cells[new_address + new_offset] = cells[old_address + old_offset]
+        interpreter = vm.interpreter
+        interpreter.instructions_executed += record.steps
+        clock.cycles += clock.costs.instruction * record.steps
+        if interpreter.lazy_barrier_armed:
+            clock.cycles += clock.costs.lazy_barrier_check * 2 * len(plan)
+        return True
 
-    def _transform_object(self, active: _ActiveUpdate, old_address: int,
-                          new_address: int) -> None:
+    def _replay(self, active: _ActiveUpdate,
+                pairs: List[Tuple[int, int]]) -> None:
+        """Transform each ``(old copy, new object)`` pair still pending —
+        the eager log replay, and one pair for ``Sys.forceTransform``. A
+        new object's status word holds its old copy until it is
+        transformed (§3.4); revisiting one whose transformer is still on
+        the stack is a cycle."""
         vm = self.vm
-        if vm.objects.status(new_address) == 0:
-            return  # already transformed
-        if new_address in self._transform_in_progress:
-            raise TransformerCycleError(
-                "recursive object transformation cycle detected "
-                "(ill-defined transformer functions, paper §3.4)"
-            )
-        self._transform_in_progress.add(new_address)
-        if self.fault_injector is not None:
-            self.fault_injector.on_transform_object(new_address)
-        self._run_object_transformer(
-            active.prepared.prefix, vm.objects.class_of(new_address),
-            new_address, old_address,
-        )
-        # Mark transformed *before* releasing in-progress status.
-        vm.objects.set_status(new_address, 0)
-        self._transform_in_progress.discard(new_address)
+        cells = vm.heap.cells
+        classes = vm.registry.by_id
+        in_progress = self._transform_in_progress
+        injector = self.fault_injector
+        prefix = active.prepared.prefix
+        run = self._run_object_transformer
+        invocations = plan_copies = 0
+        try:
+            for old_address, new_address in pairs:
+                if cells[new_address + HEADER_STATUS] == 0:
+                    continue  # already transformed
+                if new_address in in_progress:
+                    raise TransformerCycleError(
+                        "recursive object transformation cycle detected "
+                        "(ill-defined transformer functions, paper §3.4)"
+                    )
+                in_progress.add(new_address)
+                if injector is not None:
+                    injector.on_transform_object(new_address)
+                ran = run(prefix, classes[cells[new_address + HEADER_TIB]],
+                          new_address, old_address)
+                if ran is not None:
+                    invocations += 1
+                    plan_copies += ran
+                # Mark transformed *before* releasing in-progress status.
+                cells[new_address + HEADER_STATUS] = 0
+                in_progress.discard(new_address)
+        finally:
+            count_transformer_runs(vm.metrics, invocations, plan_copies)
 
     def _force_transform(self, address: int) -> None:
         """``Sys.forceTransform(o)``: ensure ``o`` (a new-version object) is
@@ -1136,9 +1181,9 @@ class UpdateEngine:
             return
         # The update collection cached the old copy's address in the new
         # object's status word (§3.4); 0 means not updated, or done.
-        old_address = self.vm.objects.status(address)
+        old_address = self.vm.heap.cells[address + HEADER_STATUS]
         if old_address != 0:
-            self._transform_object(active, old_address, address)
+            self._replay(active, [(old_address, address)])
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..vm.heap import HEADER_STATUS, HEADER_TIB, NULL, OutOfMemoryError
 from ..vm.objectmodel import VMTrap
@@ -18,7 +18,18 @@ from ..vm.rvmclass import RVMClass
 from .upt import PreparedUpdate
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..obs import Metrics
     from ..vm.vm import VM
+
+
+def count_transformer_runs(metrics: "Metrics", invocations: int,
+                           plan_copies: int) -> None:
+    """Add one phase's transformer runs to the metrics: each caller sums
+    them in locals and adds them once, when its phase ends."""
+    if invocations:
+        metrics.inc("dsu.transformer_invocations", invocations)
+    if plan_copies:
+        metrics.inc("dsu.transformer_plan_copies", plan_copies)
 
 
 @dataclass
@@ -49,9 +60,12 @@ class LazyEpoch:
     new_class_by_old_id: Dict[int, RVMClass]
     #: the renamed old classes, handed to ``retire`` when the epoch closes
     renamed: List[RVMClass]
-    #: the engine's one ``jvolveObject`` runner:
-    #: ``run_transformer(prefix, new_class, new_address, old_address)``
-    run_transformer: Callable[[str, RVMClass, int, int], None]
+    #: the engine's one ``jvolveObject`` runner, through the same
+    #: per-class record as the eager path:
+    #: ``run_transformer(prefix, new_class, new_address, old_address)``;
+    #: ``None`` when the class has no transformer, else whether it ran as
+    #: a plan
+    run_transformer: Callable[[str, RVMClass, int, int], Optional[bool]]
     #: the engine's post-transform cleanup (old ref statics, transformer
     #: class), deferred from the pause to epoch close:
     #: ``retire(prepared, renamed)``
@@ -122,11 +136,14 @@ class LazyEpoch:
         vm.collect()
         return "collected"
 
-    def _transform(self, old_address: int, new_class: RVMClass) -> int:
+    def _transform(self, old_address: int,
+                   new_class: RVMClass) -> Tuple[int, Optional[bool]]:
         """Transform one pending object: allocate the new-layout object,
         run ``jvolveObject(new, old)``, and write a same-space forwarding
         pointer into the old object's status header. The old object's data
         cells are never written. Caller guarantees allocation capacity.
+        Returns the new object's address and what ``run_transformer``
+        returned.
         """
         vm = self.vm
         # Pin addresses for the duration: the transformer may allocate, and
@@ -136,7 +153,7 @@ class LazyEpoch:
         self._in_progress.add(old_address)
         try:
             new_address = vm.objects.alloc_object(new_class)
-            self.run_transformer(
+            ran = self.run_transformer(
                 self.prepared.prefix, new_class, new_address, old_address
             )
             vm.objects.set_status(old_address, new_address)
@@ -144,7 +161,7 @@ class LazyEpoch:
         finally:
             self._in_progress.discard(old_address)
             vm.gc_disabled = gc_was_disabled
-        return new_address
+        return new_address, ran
 
     # ------------------------------------------------------------------
     # the read barrier
@@ -209,9 +226,11 @@ class LazyEpoch:
                 raise VMTrap(
                     "out of memory: heap cannot hold the transformed copy"
                 )
-        stack[slot] = self._transform(address, new_class)
+        stack[slot], ran = self._transform(address, new_class)
         self.touch_transforms += 1
         vm.metrics.inc("dsu.lazy.touch_transforms")
+        if ran is not None:
+            count_transformer_runs(vm.metrics, 1, ran)
 
     # ------------------------------------------------------------------
     # the sweep
@@ -242,44 +261,51 @@ class LazyEpoch:
         heap = vm.heap
         transformed = 0
         visited = 0
+        invocations = plan_copies = 0
         just_collected = False
-        while self.armed:
-            if deadline_ms is not None and vm.clock.now_ms >= deadline_ms:
-                break
-            if max_objects is not None and visited >= max_objects:
-                break
-            if self.sweep_collections != vm.collector.collections:
-                # Every object moved; restart the walk in the new space.
-                self.sweep_collections = vm.collector.collections
-                self.sweep_cursor = heap.space_start
-            cursor = self.sweep_cursor
-            if cursor >= heap.bump:
-                self._close()
-                break
-            vm.clock.tick(vm.clock.costs.lazy_sweep_object)
-            visited += 1
-            size = vm.objects.object_size_cells(cursor)
-            new_class = None
-            if heap.cells[cursor + HEADER_STATUS] == 0:
-                new_class = self.new_class_by_old_id.get(
-                    heap.cells[cursor + HEADER_TIB]
-                )
-            if new_class is not None:
-                room = self._make_room(
-                    new_class.fixed_cells, may_collect=not just_collected
-                )
-                if room in ("full", "pinned"):
-                    raise OutOfMemoryError(
-                        "lazy sweep cannot allocate the transformed copy"
+        try:
+            while self.armed:
+                if deadline_ms is not None and vm.clock.now_ms >= deadline_ms:
+                    break
+                if max_objects is not None and visited >= max_objects:
+                    break
+                if self.sweep_collections != vm.collector.collections:
+                    # Every object moved; restart the walk in the new space.
+                    self.sweep_collections = vm.collector.collections
+                    self.sweep_cursor = heap.space_start
+                cursor = self.sweep_cursor
+                if cursor >= heap.bump:
+                    self._close()
+                    break
+                vm.clock.tick(vm.clock.costs.lazy_sweep_object)
+                visited += 1
+                size = vm.objects.object_size_cells(cursor)
+                new_class = None
+                if heap.cells[cursor + HEADER_STATUS] == 0:
+                    new_class = self.new_class_by_old_id.get(
+                        heap.cells[cursor + HEADER_TIB]
                     )
-                if room == "collected":
-                    just_collected = True
-                    continue
-                self._transform(cursor, new_class)
-                just_collected = False
-                transformed += 1
-                self.sweep_transforms += 1
-            self.sweep_cursor = cursor + size
+                if new_class is not None:
+                    room = self._make_room(
+                        new_class.fixed_cells, may_collect=not just_collected
+                    )
+                    if room in ("full", "pinned"):
+                        raise OutOfMemoryError(
+                            "lazy sweep cannot allocate the transformed copy"
+                        )
+                    if room == "collected":
+                        just_collected = True
+                        continue
+                    _, ran = self._transform(cursor, new_class)
+                    if ran is not None:
+                        invocations += 1
+                        plan_copies += ran
+                    just_collected = False
+                    transformed += 1
+                    self.sweep_transforms += 1
+                self.sweep_cursor = cursor + size
+        finally:
+            count_transformer_runs(vm.metrics, invocations, plan_copies)
         if transformed:
             vm.metrics.inc("dsu.lazy.sweep_transforms", transformed)
         return transformed

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..bytecode.classfile import CLINIT_NAME, ClassFile, MethodInfo
@@ -84,8 +85,9 @@ class PreparedUpdate:
         default_factory=dict
     )
 
-    @property
+    @cached_property
     def prefix(self) -> str:
+        """The old version's class-name prefix, computed on first read."""
         return version_prefix(self.old_version)
 
 

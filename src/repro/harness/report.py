@@ -11,9 +11,10 @@ as ``FIGURE <name>: <problem>`` and fails the run.
 
 from __future__ import annotations
 
+import time
 from functools import partial
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from . import endurance, fleet, jettyperf, lazyheap, microbench, pauses, tables
 
@@ -82,18 +83,26 @@ SCALES = {
 
 
 def generate_report(
-    scale: str = "small", out_dir: str = "benchmark_results"
+    scale: str = "small",
+    out_dir: str = "benchmark_results",
+    timings: Optional[List[Tuple[str, float]]] = None,
 ) -> Tuple[str, List[str]]:
     """Run every function once at ``scale``, write ``<out_dir>/<name>``
     and ``REPORT.txt``; returns the report and the ``<name>: <problem>``
-    lines of every artifact whose shape is off."""
+    lines of every artifact whose shape is off. When ``timings`` is a
+    list, each row's ``(files, host seconds)`` is appended to it, in
+    ``FIGURES`` order; host time never enters an artifact."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rule = "=" * 72
     sections: List[str] = []
     problems: List[str] = []
     for names, headings, figure in FIGURES:
+        started = time.perf_counter()
         made = figure(**SCALES[scale].get(names, {}))
+        if timings is not None:
+            label = names if isinstance(names, str) else ", ".join(names)
+            timings.append((label, time.perf_counter() - started))
         if isinstance(names, str):  # the usual row: one file, one figure
             names, headings, made = (names,), (headings,), (made,)
         for name, heading, (text, found) in zip(names, headings, made):
@@ -104,3 +113,15 @@ def generate_report(
     report = "\n".join(sections)
     (out / "REPORT.txt").write_text(report)
     return report, problems
+
+
+def render_timings(timings: List[Tuple[str, float]]) -> str:
+    """The per-row host-time table ``repro report --timings`` prints."""
+    total = sum(seconds for _, seconds in timings)
+    width = max([len(label) for label, _ in timings] + [len("total")])
+    lines = [f"{'row':<{width}}  {'host s':>7}  {'share':>5}"]
+    for label, seconds in timings:
+        share = 100.0 * seconds / total if total else 0.0
+        lines.append(f"{label:<{width}}  {seconds:7.1f}  {share:4.0f} %")
+    lines.append(f"{'total':<{width}}  {total:7.1f}")
+    return "\n".join(lines)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .heap import HEADER_STATUS, HEADER_TIB, NULL
+from .heap import HEADER_STATUS, HEADER_TIB
 from .objectmodel import ARRAY_ELEMS_OFFSET, ARRAY_LENGTH_OFFSET
 from .rvmclass import RVMClass
 
@@ -148,156 +148,168 @@ class SemiSpaceCollector:
     ) -> GCStats:
         vm = self.vm
         heap = vm.heap
-
-        from_space = heap.current_space
+        clock = vm.clock
+        costs = clock.costs
+        # The per-object path reads only locals: the cells, the from-space
+        # bounds, the class table, the cost constants and the result lists.
+        cells = heap.cells
+        classes = vm.registry.by_id
+        from_lo, from_hi = heap._space_bounds[heap.current_space]
         scan = bump = heap.begin_flip()
-        to_space_end = heap._space_bounds[heap.other_space()][1]
         # Old copies grow downward from the top when segregated.
-        old_top = to_space_end
+        old_top = heap._space_bounds[heap.other_space()][1]
+        copy_cost = costs.gc_copy_cell
+        plain_cost = costs.gc_scan_object
+        update_cost = costs.gc_scan_object + costs.gc_update_log_entry
+        survivors = stats.survivors_by_class
+        update_log = stats.update_log
+        # Each object's charge is owed here and put on the clock (with the
+        # counts on ``stats``) at every span boundary and before any raise,
+        # so every timestamp and the injected-OOM count stay exact.
+        owed = objects_copied = cells_copied = objects_updated = 0
 
-        def copy_cells(source: int, count: int) -> int:
-            nonlocal bump
-            if bump + count > old_top:
-                raise MemoryError(
-                    "to-space overflow during collection (heap too small)"
-                )
-            destination = bump
-            heap.cells[destination : destination + count] = heap.cells[
-                source : source + count
-            ]
-            bump += count
-            stats.cells_copied += count
-            vm.clock.tick(vm.clock.costs.gc_copy_cell * count)
-            return destination
+        def settle() -> None:
+            nonlocal owed
+            clock.cycles += owed
+            owed = 0
+            stats.objects_copied = objects_copied
+            stats.cells_copied = cells_copied
+            stats.objects_updated = objects_updated
 
-        def copy_old_version(source: int, count: int) -> int:
-            """Copy the retiring version of an updated object; segregated
-            into the top region when requested."""
-            nonlocal old_top
-            if not separate_old_copies:
-                return copy_cells(source, count)
-            if bump + count > old_top - count:
-                raise MemoryError(
-                    "to-space overflow during collection (heap too small)"
-                )
-            old_top -= count
-            heap.cells[old_top : old_top + count] = heap.cells[
-                source : source + count
-            ]
-            stats.cells_copied += count
-            vm.clock.tick(vm.clock.costs.gc_copy_cell * count)
-            return old_top
-
-        def alloc_cells(count: int) -> int:
-            # Allocating the empty new-version object is a bump + zero fill,
-            # far cheaper than a data copy; its cost is folded into the
-            # per-updated-object log-entry charge.
-            nonlocal bump
-            if bump + count > old_top:
-                raise MemoryError(
-                    "to-space overflow during collection (heap too small)"
-                )
-            destination = bump
-            heap.cells[destination : destination + count] = [0] * count
-            bump += count
-            return destination
+        def overflow() -> MemoryError:
+            return MemoryError(
+                "to-space overflow during collection (heap too small)"
+            )
 
         def forward(address: int) -> int:
             """Copy the object at ``address`` (if not already) and return
             its to-space address."""
-            if address == NULL:
-                return NULL
-            if not heap.in_space(address, from_space):
-                # Already a to-space address (e.g. root scanned twice).
-                return address
-            status = heap.cells[address + HEADER_STATUS]
-            if status != 0:
-                if heap.in_space(status, from_space):
-                    # Same-space forwarding left by a lazy-transformation
-                    # epoch (repro.dsu.engine): the object was transformed
-                    # in place before this collection. Chase it — the
-                    # new-layout object is the live one; the recursion
-                    # copies it (or returns its to-space address) and this
-                    # old shell is simply never copied.
-                    return forward(status)
-                return status  # this collection's forwarding pointer
-            if oom_at_copy is not None and stats.objects_copied >= oom_at_copy:
+            nonlocal bump, old_top, owed
+            nonlocal objects_copied, cells_copied, objects_updated
+            while True:
+                if not from_lo <= address < from_hi:
+                    # NULL, or already a to-space address (e.g. a root
+                    # scanned twice).
+                    return address
+                status = cells[address + HEADER_STATUS]
+                if status == 0:
+                    break
+                if not from_lo <= status < from_hi:
+                    return status  # this collection's forwarding pointer
+                # Same-space forwarding left by a lazy-transformation epoch
+                # (repro.dsu.lazy): the object was transformed in place
+                # before this collection. Chase it — the new-layout object
+                # is the live one, and this old shell is never copied.
+                address = status
+            if oom_at_copy is not None and objects_copied >= oom_at_copy:
                 raise MemoryError(
-                    f"injected to-space overflow after {stats.objects_copied} "
+                    f"injected to-space overflow after {objects_copied} "
                     "object copies"
                 )
-            rvmclass = vm.registry.by_class_id(heap.cells[address + HEADER_TIB])
+            rvmclass = classes[cells[address + HEADER_TIB]]
             size = rvmclass.fixed_cells
             if size is None:
-                size = ARRAY_ELEMS_OFFSET + heap.cells[address + ARRAY_LENGTH_OFFSET]
-            new_class = update_map.get(rvmclass.id)
+                size = ARRAY_ELEMS_OFFSET + cells[address + ARRAY_LENGTH_OFFSET]
+            new_class = update_map.get(rvmclass.id) if update_map else None
             if new_class is None:
-                destination = copy_cells(address, size)
-                heap.cells[destination + HEADER_STATUS] = 0
-                heap.cells[address + HEADER_STATUS] = destination
-                stats.objects_copied += 1
-                stats.survivors_by_class[rvmclass.id] = (
-                    stats.survivors_by_class.get(rvmclass.id, 0) + 1
-                )
-                vm.clock.tick(vm.clock.costs.gc_scan_object)
+                destination = bump
+                if destination + size > old_top:
+                    raise overflow()
+                bump = destination + size
+                cells[destination:bump] = cells[address:address + size]
+                cells[destination + HEADER_STATUS] = 0
+                cells[address + HEADER_STATUS] = destination
+                objects_copied += 1
+                cells_copied += size
+                survivors[rvmclass.id] = survivors.get(rvmclass.id, 0) + 1
+                owed += copy_cost * size + plain_cost
                 return destination
             # --- updated class: double copy + update log -------------
-            old_copy = copy_old_version(address, size)
-            heap.cells[old_copy + HEADER_STATUS] = 0
-            new_object = alloc_cells(new_class.fixed_cells)
-            heap.cells[new_object + HEADER_TIB] = new_class.id
+            # The retiring version first, segregated into the top region
+            # when requested.
+            if separate_old_copies:
+                if bump + size > old_top - size:
+                    raise overflow()
+                old_top -= size
+                old_copy = old_top
+            else:
+                old_copy = bump
+                if old_copy + size > old_top:
+                    raise overflow()
+                bump = old_copy + size
+            cells[old_copy:old_copy + size] = cells[address:address + size]
+            cells_copied += size
+            owed += copy_cost * size
+            cells[old_copy + HEADER_STATUS] = 0
+            # Allocating the empty new-version object is a bump + zero
+            # fill, far cheaper than a data copy; its cost is folded into
+            # the per-updated-object log-entry charge.
+            new_object = bump
+            new_size = new_class.fixed_cells
+            if new_object + new_size > old_top:
+                raise overflow()
+            bump = new_object + new_size
+            cells[new_object:bump] = [0] * new_size
+            cells[new_object + HEADER_TIB] = new_class.id
             # cache the old version's address in the new header (§3.4)
-            heap.cells[new_object + HEADER_STATUS] = old_copy
-            heap.cells[address + HEADER_STATUS] = new_object
-            stats.objects_copied += 1
-            stats.objects_updated += 1
-            stats.survivors_by_class[new_class.id] = (
-                stats.survivors_by_class.get(new_class.id, 0) + 1
-            )
-            stats.update_log.append((old_copy, new_object))
-            vm.clock.tick(
-                vm.clock.costs.gc_scan_object + vm.clock.costs.gc_update_log_entry
-            )
+            cells[new_object + HEADER_STATUS] = old_copy
+            cells[address + HEADER_STATUS] = new_object
+            objects_copied += 1
+            objects_updated += 1
+            survivors[new_class.id] = survivors.get(new_class.id, 0) + 1
+            update_log.append((old_copy, new_object))
+            owed += update_cost
             return new_object
 
-        # --- roots ------------------------------------------------------
-        with vm.tracer.span("gc.roots", "gc"):
-            self._scan_roots(forward, stats)
-
-        # --- Cheney scan --------------------------------------------------
         def scan_object(address: int) -> int:
-            cells = heap.cells
-            rvmclass = vm.registry.by_class_id(cells[address + HEADER_TIB])
+            """Forward every reference cell of the object at ``address``;
+            returns its size. Only a from-space value needs ``forward``."""
+            rvmclass = classes[cells[address + HEADER_TIB]]
             size = rvmclass.fixed_cells
             if size is None:
                 size = ARRAY_ELEMS_OFFSET + cells[address + ARRAY_LENGTH_OFFSET]
                 if rvmclass.elements_are_refs:
-                    for cell in range(address + ARRAY_ELEMS_OFFSET, address + size):
-                        cells[cell] = forward(cells[cell])
+                    for cell in range(address + ARRAY_ELEMS_OFFSET,
+                                      address + size):
+                        value = cells[cell]
+                        if from_lo <= value < from_hi:
+                            cells[cell] = forward(value)
             else:
                 # New objects created for updated classes have empty fields
                 # (all zero); scanning them is harmless and uniform.
                 for offset in rvmclass.ref_offsets:
-                    cells[address + offset] = forward(cells[address + offset])
+                    value = cells[address + offset]
+                    if from_lo <= value < from_hi:
+                        cells[address + offset] = forward(value)
             return size
 
+        # --- roots ------------------------------------------------------
+        with vm.tracer.span("gc.roots", "gc"):
+            try:
+                self._scan_roots(forward, stats)
+            finally:
+                settle()
+
+        # --- Cheney scan --------------------------------------------------
         # The segregated old copies are greylist members too (their fields
         # must be forwarded so transformers see live referents); scanning
         # them can discover more work for the main region and vice versa.
         with vm.tracer.span("gc.copy", "gc"):
-            scanned_old = 0
-            while True:
-                while scan < bump:
-                    scan += scan_object(scan)
-                # When not segregated, old copies live inside [start, bump)
-                # and the linear scan above already covered them.
-                if separate_old_copies and scanned_old < len(stats.update_log):
-                    while scanned_old < len(stats.update_log):
-                        old_copy, _ = stats.update_log[scanned_old]
-                        scan_object(old_copy)
-                        scanned_old += 1
-                    continue
-                break
+            try:
+                scanned_old = 0
+                while True:
+                    while scan < bump:
+                        scan += scan_object(scan)
+                    # When not segregated, old copies live inside
+                    # [start, bump) and the linear scan above covered them.
+                    if separate_old_copies and scanned_old < len(update_log):
+                        while scanned_old < len(update_log):
+                            scan_object(update_log[scanned_old][0])
+                            scanned_old += 1
+                        continue
+                    break
+            finally:
+                settle()
 
         heap.finish_flip(bump, ceiling=old_top)
         heap.record_survivors(stats.survivors_by_class)

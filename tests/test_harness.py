@@ -505,6 +505,31 @@ class TestReportCommand:
         assert "<pause_sweep.txt []>" in written
         assert "ablation" not in written and "BENCH" not in written
 
+    def test_timings_print_each_row_on_stderr_and_touch_no_artifact(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.harness import report
+
+        _stub_figures(monkeypatch)
+        plain = tmp_path / "plain"
+        timed = tmp_path / "timed"
+        assert main(["report", "--out-dir", str(plain)]) == 0
+        untimed_err = capsys.readouterr().err
+        assert main(["report", "--timings", "--out-dir", str(timed)]) == 0
+        captured = capsys.readouterr()
+        assert untimed_err == ""
+        lines = captured.err.splitlines()
+        assert lines[0].split() == ["row", "host", "s", "share"]
+        labels = [line.split("  ")[0].strip() for line in lines[1:-1]]
+        assert labels == [
+            names if isinstance(names, str) else ", ".join(names)
+            for names, _, _ in report.FIGURES
+        ]
+        assert lines[-1].startswith("total")
+        for name in os.listdir(plain):
+            assert (plain / name).read_text() == (timed / name).read_text()
+
     def test_one_pause_sweep_feeds_both_pause_artifacts(
         self, tmp_path, monkeypatch
     ):
